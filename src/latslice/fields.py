@@ -30,18 +30,9 @@ class Field:
         if p is not None and not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
-
-    @property
-    def is_finite(self):
-        return self.p is not None
-
-    @property
-    def zero(self):
-        return 0 if self.p is not None else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        self.is_finite = p is not None
+        self.zero = 0 if p is not None else Fraction(0)
+        self.one = 1 if p is not None else Fraction(1)
 
     def from_int(self, n):
         if self.p is not None:

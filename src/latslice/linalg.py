@@ -16,9 +16,6 @@ from .polymatrix import PolyMatrix, det
 def zeros(field, n):
     return [field.zero] * n
 
-def identity(field, n):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
 def mat_vec(field, A, v):
     return [
         _dot(field, row, v)
@@ -30,10 +27,6 @@ def _dot(field, a, b):
     for x, y in zip(a, b):
         acc = field.add(acc, field.mul(x, y))
     return acc
-
-def mat_mul(field, A, B):
-    cols = list(zip(*B))
-    return [[_dot(field, row, col) for col in cols] for row in A]
 
 
 def rref(field, rows):
@@ -95,19 +88,25 @@ def solve(field, A, b):
     return x
 
 
-def _echelon_columns(field, columns):
-    """Reduced echelon basis of the span: run rref on the vectors as rows and
-    keep the nonzero rows, each of which is one basis vector."""
-    if not columns:
-        return []
-    a, pivots = rref(field, [list(c) for c in columns])
-    return [list(r) for r in a[: len(pivots)]]
+def inverse(field, A):
+    """The inverse of a square field matrix, or None when it is singular."""
+    n = len(A)
+    one, zero = field.one, field.zero
+    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A)]
+    a, pivots = rref(field, aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in a]
 
 
 def canonical_subspace(field, columns):
     """Canonical representation of span(columns): reduced column echelon
-    basis, pivots ordered top to bottom."""
-    return _echelon_columns(field, columns)
+    basis, pivots ordered top to bottom.  Runs rref on the vectors as rows
+    and keeps the nonzero rows, each of which is one basis vector."""
+    if not columns:
+        return []
+    a, pivots = rref(field, [list(c) for c in columns])
+    return [list(r) for r in a[: len(pivots)]]
 
 
 def subspace_contains(field, W, v):

@@ -5,7 +5,7 @@ Everything is exact.  The determinant uses Bareiss fraction-free elimination
 reduction are the classical Euclidean algorithms with unimodular tracking.
 """
 
-from .poly import Poly, poly_gcd
+from .poly import Poly
 
 
 class PolyMatrix:
@@ -337,17 +337,19 @@ def column_reduce(M):
 
     Returns (M', degs): M' is column-equivalent to M, its column-leading
     coefficient matrix is nonsingular, degs are the column degrees and
-    sum(degs) = deg det(M).
+    sum(degs) = deg det(M).  Raises ValueError for singular input, which
+    shows as a column reduced to zero.
     """
     if M.rows != M.cols:
         raise ValueError("column reduction of a non-square matrix")
-    if det(M).is_zero:
-        raise ValueError("singular matrix")
     F = M.field
     n = M.rows
     cols = [list(c) for c in M.columns()]
     while True:
         degs = [max(e.degree for e in c) for c in cols]
+        # each pass lowers one column degree, so a singular input ends here
+        if any(d < 0 for d in degs):
+            raise ValueError("singular matrix")
         lead = [[cols[j][i].coeff(degs[j]) if degs[j] >= 0 else F.zero for j in range(n)] for i in range(n)]
         combo = _field_kernel_vector(F, lead)
         if combo is None:

@@ -13,7 +13,6 @@ from . import linalg
 from .lattice import (
     Lattice,
     LatticeChain,
-    quotient_basis_trivial,
     quotient_presentation,
     standard_lattice,
     validate_chain,
@@ -197,7 +196,12 @@ def _jumps_from_dims(dims):
 def chain_to_slice(chain):
     """The forward bijection: Y is multiplication by z on k[z]^m / L_n in the
     monomial basis, W_i is the image of L_(n-i), eigenvalues are the chain
-    points in order."""
+    points in order.
+
+    One Smith presentation of the quotient gives field coordinates of any
+    class; the N x N matrix C of the monomial classes' coordinates is
+    inverted once (singular C means the chain end is not trivial), and the
+    monomial coordinates of a class are then C^-1 times its coordinates."""
     problems = validate_chain(chain)
     if problems:
         raise ValueError("invalid chain: " + "; ".join(problems))
@@ -206,38 +210,45 @@ def chain_to_slice(chain):
     if N % m != 0:
         raise ValueError("total type is not divisible by the rank")
     k = N // m
-    Ln = chain.end
-    if not quotient_basis_trivial(Ln, k):
+    if k < 1:
+        raise ValueError("k must be positive")
+    pres = quotient_presentation(chain.end)
+    C = pres.monomial_coords(m, k)  # N columns; validation makes pres.dim N
+    Cinv = linalg.inverse(F, [list(r) for r in zip(*C)])
+    if Cinv is None:
         raise ValueError("monomial classes are not a basis of the quotient")
-    pres = quotient_presentation(Ln)
-    C = pres.monomial_coords(m, k)  # N columns, presentation coords
-    Crows = [list(r) for r in zip(*C)]
-    # z shifts monomials; top-degree images are read off in presentation
-    # coords and pulled back through C
-    Ycols = []
-    for i in range(k):
-        for j in range(m):
-            vec = [Poly.zero(F)] * m
-            vec[j] = Poly.monomial(F, F.one, i + 1)
-            target = pres.coords(vec)
-            col = linalg.solve(F, Crows, target)
-            Ycols.append(col)
+
+    def monomial_coords(vec):
+        return linalg.mat_vec(F, Cinv, pres.coords(vec))
+
+    # z shifts the monomials z^i e_j with i < k-1 to basis vectors; only the
+    # classes of z^k e_j fill the last block column
+    Ycols = [[F.one if r == c + m else F.zero for r in range(N)] for c in range(N - m)]
+    for j in range(m):
+        vec = [Poly.zero(F)] * m
+        vec[j] = Poly.monomial(F, F.one, k)
+        Ycols.append(monomial_coords(vec))
     Yrows = [[Ycols[j][i] for j in range(N)] for i in range(N)]
     Y = SliceMatrix(m, k, F, Yrows)
-    # W_i = image of L_(n-i) in the quotient: Krylov span of its basis columns
+    # W_i = image of L_(n-i) in the quotient: W_(i-1) plus the Krylov spans
+    # under Y (multiplication by z in monomial coordinates) of the basis
+    # columns of L_(n-i).  A Krylov run stops once its next vector lies in
+    # the span so far, which is then Y-stable; the image has dimension
+    # colength(L_(n-i), L_n), the sum of the last i types.
     subspaces = []
+    basis = []  # each vector is zero at the pivot rows of those before it
     lattices = [standard_lattice(m, F)] + list(chain.lattices)
     for i in range(1, n + 1):
-        L = lattices[n - i]
-        vecs = []
-        for col in L.basis.columns():
-            v = col
-            for _ in range(N):
-                coords = pres.coords(v)
-                mono = linalg.solve(F, Crows, coords)
-                vecs.append(mono)
-                v = [Poly.x(F) * e for e in v]
-        subspaces.append(linalg.canonical_subspace(F, vecs))
+        dim = sum(chain.types[n - i :])
+        for col in lattices[n - i].basis.columns():
+            v = monomial_coords(col)
+            while len(basis) < dim:
+                r = linalg.reduce_mod_subspace(F, basis, v)
+                if all(e == F.zero for e in r):
+                    break
+                basis.append(r)
+                v = linalg.mat_vec(F, Yrows, v)
+        subspaces.append(list(basis))
     flag = Flag(F, N, subspaces)
     return SlicePoint(Y, flag, chain.points)
 

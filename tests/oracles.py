@@ -1,11 +1,81 @@
 """Independent cross-checks used to pin down expected values before they are
 frozen into tests.  Everything here is deliberately written against other
-machinery (sympy, brute force over small sets) rather than the package under
-test."""
+machinery (sympy, brute force over small sets, or a second algorithm built
+from other parts of the package) rather than the code under test."""
 
 import itertools
 
 import sympy
+
+from latslice.lattice import ColouredDivisor, HeckeType, standard_lattice
+from latslice.poly import linear_roots
+from latslice.polymatrix import PolyMatrix, det, smith_normal_form
+
+
+# ---------------------------------------------------------------------------
+# Cramer-rule transition: entry (i, j) of basis(outer)^-1 * basis(inner) is
+# det(B with column i replaced by inner column j) / det(B).  The lattice
+# module solves the same system by back-substitution instead.
+
+def cramer_transition(outer, inner):
+    """The transition matrix, or None when an entry is not polynomial."""
+    B = outer.basis
+    d = det(B)
+    m = outer.m
+    cols = []
+    for j in range(m):
+        target = inner.basis.col(j)
+        col = []
+        for i in range(m):
+            repl = PolyMatrix.from_cols(
+                B.field, [target if t == i else B.col(t) for t in range(m)]
+            )
+            q, r = divmod(det(repl), d)
+            if not r.is_zero:
+                return None
+            col.append(q)
+        cols.append(col)
+    return PolyMatrix.from_cols(outer.field, cols)
+
+
+# ---------------------------------------------------------------------------
+# Divisor-based chain check: colength from deg det(T) and the whole coloured
+# divisor of each step from the Smith form of T, compared with omega_j at the
+# marked point.  The lattice module checks the sandwich (z-x) L' <= L <= L'
+# instead.
+
+def divisor_step_failures(chain):
+    """Failure strings of a chain, in the wording of validate_chain."""
+    failures = []
+    prev = standard_lattice(chain.m, chain.field)
+    for i, (x, j, L) in enumerate(zip(chain.points, chain.types, chain.lattices), 1):
+        T = cramer_transition(prev, L)
+        if T is None:
+            failures.append(f"step {i}: L_{i} is not contained in L_{i-1}")
+        elif (c := int(det(T).degree)) != j:
+            failures.append(f"step {i}: colength {c} != type {j}")
+        elif _smith_divisor(T) != ColouredDivisor({x: HeckeType.minuscule(chain.m, j)}):
+            failures.append(
+                f"step {i}: modification is not omega_{j} concentrated at the marked point"
+            )
+        prev = L
+    return failures
+
+
+def _smith_divisor(T):
+    """x -> sorted (z-x)-adic valuations of the Smith divisors of T, over the
+    roots of det(T); None when det(T) has a factor without roots."""
+    roots, residual = linear_roots(det(T))
+    if residual.degree >= 1:
+        return None
+    _, D, _ = smith_normal_form(T)
+    divisors = [D.entry(i, i) for i in range(T.rows)]
+    return ColouredDivisor(
+        {
+            x: HeckeType(sorted((d.valuation_at(x) for d in divisors), reverse=True))
+            for x in roots
+        }
+    )
 
 
 # ---------------------------------------------------------------------------

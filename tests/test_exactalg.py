@@ -1,6 +1,8 @@
 """Field arithmetic, polynomials and the three matrix normal forms."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -113,6 +115,22 @@ class TestPoly:
         p = P(QQ, 1, 0, 1)  # z^2 + 1
         roots, residual = linear_roots(p)
         assert roots == {} and residual.degree == 2
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the enclosed block with TimeoutError after `seconds` (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def mat(field, rowlists):
@@ -269,6 +287,13 @@ class TestHermite:
 
 
 class TestColumnReduce:
+    def test_singular_rejected(self):
+        # [[z, z^2], [1, z]]: one reduction step turns the second column to zero
+        F = GF(3)
+        M = mat(F, [[(0, 1), (0, 0, 1)], [(1,), (0, 1)]])
+        with time_limit(10), pytest.raises(ValueError, match="singular"):
+            column_reduce(M)
+
     def test_diagonal_fixed(self):
         F = QQ
         M = PolyMatrix.diagonal(F, [P(F, 0, 1), P(F, 0, 0, 1)])
@@ -303,6 +328,8 @@ class TestColumnReduce:
                     ],
                 )
                 if det(M).is_zero:
+                    with time_limit(10), pytest.raises(ValueError, match="singular"):
+                        column_reduce(M)
                     continue
                 R, degs = column_reduce(M)
                 assert sum(degs) == det(M).degree

@@ -2,9 +2,11 @@
 intersection/sum and two-point factorization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from latslice.countlab import _random_step
 from latslice.fields import GF, QQ
 from latslice.lattice import (
     ColouredDivisor,
@@ -25,7 +27,9 @@ from latslice.lattice import (
     validate_chain,
 )
 from latslice.poly import Poly
-from latslice.polymatrix import PolyMatrix
+from latslice.polymatrix import PolyMatrix, det
+
+import oracles
 
 
 def P(field, *coeffs):
@@ -263,10 +267,110 @@ class TestChains:
         L1 = lat(F, [[(0, 1), (0,)], [(0,), (1,)]])
         bad = LatticeChain(2, F, (F.zero, F.one), (1, 1), (L1, L1))
         assert any("colength" in msg for msg in validate_chain(bad))
+        assert validate_chain(bad) == oracles.divisor_step_failures(bad) == [
+            "step 2: colength 0 != type 1"
+        ]
 
     def test_wrong_point_invalid(self):
         F = QQ
         L1 = lat(F, [[(0, 1), (0,)], [(0,), (1,)]])
         L2 = lat(F, [[(0, 1), (0,)], [(0,), (-1, 1)]])
         bad = LatticeChain(2, F, (F.zero, F.zero), (1, 1), (L1, L2))
-        assert validate_chain(bad) != []
+        assert validate_chain(bad) == oracles.divisor_step_failures(bad) == [
+            "step 2: modification is not omega_1 concentrated at the marked point"
+        ]
+
+
+def random_lattice(rng, F, m):
+    """A seeded full-rank lattice with generators of degree <= 2."""
+    while True:
+        cols = [
+            [Poly(F, [coefficient(rng, F) for _ in range(rng.randint(1, 3))]) for _ in range(m)]
+            for _ in range(m)
+        ]
+        M = PolyMatrix.from_cols(F, cols)
+        if not det(M).is_zero:
+            return Lattice(F, M)
+
+
+def coefficient(rng, F):
+    if F.is_finite:
+        return F.from_int(rng.randrange(F.p))
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+
+class TestTransitionAgainstCramer:
+    """Back-substitution against the Hermite basis gives the Cramer-rule
+    transition, including None exactly when inner is not contained."""
+
+    @pytest.mark.parametrize("F", [GF(3), QQ], ids=["GF3", "QQ"])
+    def test_seeded_pairs(self, F):
+        rng = random.Random(23)
+        outcomes = []
+        for _ in range(12):
+            m = rng.randint(2, 3)
+            A, B = random_lattice(rng, F, m), random_lattice(rng, F, m)
+            R = random_lattice(rng, F, m).basis
+            pairs = [
+                (A, B),
+                (A, A),
+                (A, Lattice(F, A.basis * R)),
+                (A, intersect(A, B)),
+                (intersect(A, B), A),
+            ]
+            for outer, inner in pairs:
+                T = transition_matrix(outer, inner)
+                assert T == oracles.cramer_transition(outer, inner)
+                outcomes.append(T is None)
+        assert any(outcomes) and not all(outcomes)
+
+
+def random_chain(rng, F, m, n, points):
+    types = [rng.randint(1, m - 1) for _ in range(n)]
+    xs = [points[rng.randrange(len(points))] for _ in range(n)]
+    L, lattices = standard_lattice(m, F), []
+    for x, j in zip(xs, types):
+        L = _random_step(rng, L, x, j)
+        lattices.append(L)
+    return LatticeChain(m, F, xs, types, lattices)
+
+
+class TestValidateChainAgainstDivisors:
+    """The sandwich step check against the Smith-divisor check it replaced."""
+
+    @pytest.mark.parametrize("F", [GF(3), QQ], ids=["GF3", "QQ"])
+    def test_seeded_chains(self, F):
+        rng = random.Random(29)
+        points = [F.from_int(c) for c in (0, 1, 2)]
+        rejected = 0
+        for _ in range(10):
+            m = rng.randint(2, 3)
+            chain = random_chain(rng, F, m, 3, points)
+            assert validate_chain(chain) == oracles.divisor_step_failures(chain) == []
+            # the same lattices under other points and types
+            moved = LatticeChain(
+                m,
+                F,
+                [points[rng.randrange(3)] for _ in chain.points],
+                [rng.randint(1, m - 1) for _ in chain.types],
+                chain.lattices,
+            )
+            failures = validate_chain(moved)
+            assert failures == oracles.divisor_step_failures(moved)
+            rejected += bool(failures)
+            reordered = LatticeChain(m, F, chain.points, chain.types, chain.lattices[::-1])
+            assert validate_chain(reordered) == oracles.divisor_step_failures(reordered)
+        assert rejected > 0
+
+    @pytest.mark.parametrize("F", [GF(3), QQ], ids=["GF3", "QQ"])
+    def test_colength_two_steps_of_other_types(self, F):
+        zero, one = F.zero, F.one
+        # span(z^2 e1, e2, e3) has type (2,0,0) at 0, not omega_2
+        squared = lat(F, [[(0, 0, 1), (0,), (0,)], [(0,), (1,), (0,)], [(0,), (0,), (1,)]])
+        # span(z e1, (z-1) e2, e3) splits the colength between 0 and 1
+        split = lat(F, [[(0, 1), (0,), (0,)], [(0,), (-1, 1), (0,)], [(0,), (0,), (1,)]])
+        for L, x in ((squared, zero), (split, zero), (split, one)):
+            chain = LatticeChain(3, F, (x,), (2,), (L,))
+            assert validate_chain(chain) == oracles.divisor_step_failures(chain) == [
+                "step 1: modification is not omega_2 concentrated at the marked point"
+            ]

@@ -28,6 +28,25 @@ def test_kernel_and_solve():
     assert linalg.solve(F, [[1, 0], [1, 0]], [0, 1]) is None
 
 
+def test_inverse_against_sympy():
+    rng = random.Random(11)
+    singular = 0
+    for F in (GF(5), QQ):
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            rows = [[F.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+            inv = linalg.inverse(F, rows)
+            M = sympy.Matrix(rows)
+            d = M.det() % F.p if F.is_finite else M.det()
+            if d == 0:
+                assert inv is None
+                singular += 1
+                continue
+            want = M.inv_mod(F.p) if F.is_finite else M.inv()
+            assert sympy.Matrix(inv) == want
+    assert singular > 0
+
+
 def test_canonical_subspace_is_canonical():
     F = GF(3)
     a = linalg.canonical_subspace(F, [[1, 2], [2, 4]])
