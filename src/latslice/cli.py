@@ -5,6 +5,7 @@ Exit codes: 0 success/pass, 1 validation or suite failure, 2 malformed input.
 """
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -103,14 +104,15 @@ def build_parser():
         sp.add_argument("--field", required=True, help='"Fp:<p>"')
         sp.add_argument("--end", choices=("any", "trivial", "zk"), default="any")
         sp.add_argument("--witnesses", action="store_true")
-        sp.add_argument("--jobs", type=int, default=1)
+        if name == "chain-fiber":
+            sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out")
     sp = count_sub.add_parser("fit")
     sp.add_argument("payload", help='{"samples": [[q, count], ...], "degree": optional}')
     sp.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="bundled verification suites")
-    p_verify.add_argument("suite", choices=countlab.SUITES + ("all",))
+    p_verify.add_argument("suite", choices=tuple(countlab.SUITES) + ("all",))
     p_verify.add_argument("--qs", default=None, help="comma-separated primes")
     p_verify.add_argument("--max-m", type=int, default=None)
     p_verify.add_argument("--randoms", type=int, default=None)
@@ -222,20 +224,16 @@ def _count_command(args):
 
 def _verify_command(args):
     budget = {}
-    if args.qs is not None:
-        budget["qs"] = tuple(_parse_ints(args.qs))
-    if args.max_m is not None and args.suite in ("counts-equal", "roundtrip", "product-fibre"):
-        budget["grid"] = tuple(
-            entry for entry in countlab.DEFAULT_GRID if entry[0] <= args.max_m
-        )
-    if args.max_m is not None and args.suite in ("triviality-agree", "factorization"):
-        budget["grid"] = tuple(
-            (m, k) for m, k in ((2, 1), (2, 2), (3, 1)) if m <= args.max_m
-        )
-    if args.randoms is not None and args.suite == "roundtrip":
-        budget["randoms"] = args.randoms
-    if args.suite == "all":
-        budget = {}
+    if args.suite != "all":  # 'all' runs every suite with its defaults
+        params = inspect.signature(countlab.SUITES[args.suite]).parameters
+        if args.qs is not None:
+            budget["qs"] = tuple(_parse_ints(args.qs))
+        if args.max_m is not None and "grid" in params:
+            # the suite's default grid, cut at m; every entry starts with m
+            grid = params["grid"].default
+            budget["grid"] = tuple(entry for entry in grid if entry[0] <= args.max_m)
+        if args.randoms is not None and "randoms" in params:
+            budget["randoms"] = args.randoms
     report = countlab.verify_suite(args.suite, **budget)
     return (0 if report["pass"] else 1), report
 

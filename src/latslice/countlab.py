@@ -20,11 +20,17 @@ from .slicecorr import Flag, SliceMatrix, SlicePoint, chain_to_slice, slice_to_c
 
 END_CONDITIONS = ("any", "trivial", "exact-zk")
 
+# The slice model is enumerated matrix by matrix: q^(m*m*k) of them.  The
+# largest space the suites and tests enumerate is 3^9.
+MAX_SLICE_MATRICES = 10**5
+
 
 class FiberQuery:
     def __init__(self, m, k, types, points, field, end_condition="any"):
         if end_condition not in END_CONDITIONS:
             raise ValueError(f"unknown end condition {end_condition!r}")
+        if k < 1:
+            raise ValueError("k must be positive")
         self.m = m
         self.k = k
         self.types = types if isinstance(types, WeightSeq) else WeightSeq(m, types)
@@ -109,25 +115,23 @@ def count_chain_fiber(query, witnesses=False, jobs=1):
     its end condition."""
     if not query.field.is_finite:
         raise ValueError("chain counting needs a finite field")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     t0 = time.perf_counter()
     std = standard_lattice(query.m, query.field)
-    if query.points:
-        first = step_choices(std, query.points[0], query.types.entries[0])
-    else:
-        first = [std] if _end_ok(query, std) else []
-    subtasks = [(query, L1, witnesses) for L1 in first]
     if not query.points:
-        count = len(first)
+        count = 1 if _end_ok(query, std) else 0
         wit = [LatticeChain(query.m, query.field, (), (), ())] * count if witnesses else None
-    elif jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_count_subtree_task, subtasks)
-        count = sum(c for c, _ in results)
-        wit = [w for _, ws in results for w in ws] if witnesses else None
     else:
-        results = [_count_subtree_task(t) for t in subtasks]
+        first = step_choices(std, query.points[0], query.types.entries[0])
+        subtasks = [(query, L1, witnesses) for L1 in first]
+        if jobs > 1:
+            import multiprocessing
+
+            with multiprocessing.Pool(jobs) as pool:
+                results = pool.map(_count_subtree_task, subtasks)
+        else:
+            results = [_count_subtree_task(t) for t in subtasks]
         count = sum(c for c, _ in results)
         wit = [w for _, ws in results for w in ws] if witnesses else None
     elapsed = int((time.perf_counter() - t0) * 1000)
@@ -167,9 +171,16 @@ def _count_subtree_task(task):
 
 def enumerate_slice_matrices(m, k, field):
     """All matrices in the slice over a finite field: the free entries are
-    the last block column."""
+    the last block column.  More than MAX_SLICE_MATRICES of them are refused
+    before the first is made."""
     if not field.is_finite:
         raise ValueError("slice enumeration needs a finite field")
+    size = field.p ** (m * m * k)
+    if size > MAX_SLICE_MATRICES:
+        raise ValueError(
+            f"the slice space at m={m}, k={k}, q={field.p} holds {field.p}^{m * m * k}"
+            f" = {size} matrices, over the limit of {MAX_SLICE_MATRICES}"
+        )
     N = m * k
     els = list(field.elements())
     base = [[field.zero] * N for _ in range(N)]
@@ -245,9 +256,7 @@ def count_slice_fiber(query, witnesses=False):
         raise ValueError("the slice model counts the trivial locus only")
     t0 = time.perf_counter()
     F = query.field
-    target = Poly.one(F)
-    for x, j in zip(query.points, query.types.entries):
-        target = target * Poly(F, (F.neg(x), F.one)) ** j
+    target = _target_poly(query)
     count = 0
     found = [] if witnesses else None
     for Y in enumerate_slice_matrices(query.m, query.k, F):
@@ -260,6 +269,12 @@ def count_slice_fiber(query, witnesses=False):
                 found.append(SlicePoint(Y, Flag(F, Y.N, flags), query.points))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return CountReport(query, count, elapsed, found)
+
+
+def _target_poly(query):
+    """prod (z - x_i)^(pi_i): the characteristic polynomial of the fiber."""
+    roots = [x for x, j in zip(query.points, query.types.entries) for _ in range(j)]
+    return Poly.from_roots(query.field, roots)
 
 
 class FitResult:
@@ -338,16 +353,9 @@ def _poly_mul_q(a, b):
 # verification suites
 
 
-SUITES = (
-    "roundtrip",
-    "counts-equal",
-    "triviality-agree",
-    "factorization",
-    "product-fibre",
-    "central-leading",
-)
-
 DEFAULT_GRID = ((2, 1, (1, 1)), (2, 2, (1, 1, 1, 1)), (3, 1, (1, 2)), (3, 1, (1, 1, 1)))
+# (m, k) pairs for the suites that range over every type sequence
+PAIR_GRID = ((2, 1), (2, 2), (3, 1))
 
 
 def _case(params, expected, actual):
@@ -401,11 +409,8 @@ def _slice_counts_by_eigenvalues(m, k, field):
 
 def _slice_fiber_count_cached(query, buckets):
     F = query.field
-    target = Poly.one(F)
-    for x, j in zip(query.points, query.types.entries):
-        target = target * Poly(F, (F.neg(x), F.one)) ** j
     count = 0
-    for Y in buckets.get(target, ()):
+    for Y in buckets.get(_target_poly(query), ()):
         Yrows = Y.rows()
         for _ in _stable_flags(F, Yrows, query.points, query.types.entries):
             count += 1
@@ -516,7 +521,7 @@ def _random_trivial_chain(rng, m, k, types, field):
     return LatticeChain(m, field, points, types, lattices)
 
 
-def suite_triviality_agree(grid=((2, 1), (2, 2), (3, 1)), qs=(2, 3)):
+def suite_triviality_agree(grid=PAIR_GRID, qs=(2, 3)):
     """Two independent algorithms for the triviality condition must agree on
     every chain endpoint: monomial quotient basis <-> constant splitting."""
     from .fields import GF
@@ -564,7 +569,7 @@ def _compositions(total, maxpart):
     return out
 
 
-def suite_factorization(grid=((2, 1), (2, 2), (3, 1)), qs=(2, 3)):
+def suite_factorization(grid=PAIR_GRID, qs=(2, 3)):
     """Factorization over two disjoint points: reconstruction by intersection,
     Hecke types split by support, the 'any'-count product law, and a witnessed
     failure of the product law for 'trivial' counts."""
@@ -716,25 +721,27 @@ def _suite_report(name, cases):
     return {"suite": name, "cases": cases, "pass": all(c["pass"] for c in cases)}
 
 
+SUITES = {
+    "roundtrip": suite_roundtrip,
+    "counts-equal": suite_counts_equal,
+    "triviality-agree": suite_triviality_agree,
+    "factorization": suite_factorization,
+    "product-fibre": suite_product_fibre,
+    "central-leading": suite_central_leading,
+}
+
+
 def verify_suite(name, **budget):
     """Run one named verification suite; returns its structured report."""
-    table = {
-        "roundtrip": suite_roundtrip,
-        "counts-equal": suite_counts_equal,
-        "triviality-agree": suite_triviality_agree,
-        "factorization": suite_factorization,
-        "product-fibre": suite_product_fibre,
-        "central-leading": suite_central_leading,
-    }
     if name == "all":
         # suites have distinct budget signatures; 'all' runs each with its
         # documented defaults
-        reports = [table[n]() for n in SUITES]
+        reports = [suite() for suite in SUITES.values()]
         return {
             "suite": "all",
             "reports": reports,
             "pass": all(r["pass"] for r in reports),
         }
-    if name not in table:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return table[name](**budget)
+    return SUITES[name](**budget)

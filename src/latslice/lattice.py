@@ -119,25 +119,36 @@ def transition_matrix(outer, inner):
 
 def _back_substitute(H, vecs):
     """The polynomial solutions t of H*t = v, one per v in vecs, for H upper
-    triangular with monic diagonal; None at the first inexact division."""
-    m = H.rows
+    triangular with monic diagonal; None when a division is inexact."""
     out = []
     for v in vecs:
-        t = [None] * m
-        for i in range(m - 1, -1, -1):
-            r = v[i]
-            for j in range(i + 1, m):
-                h = H.entry(i, j)
-                if not h.is_zero and not t[j].is_zero:
-                    r = r - h * t[j]
-            pivot = H.entry(i, i)
-            if pivot.degree > 0:
-                r, rem = divmod(r, pivot)
-                if not rem.is_zero:
-                    return None
-            t[i] = r
+        t, r = _divide(H, v)
+        if any(not p.is_zero for p in r):
+            return None
         out.append(t)
     return out
+
+
+def _divide(H, v):
+    """(t, r) with v = H*t + r and deg r_i < deg h_ii, for H upper
+    triangular with monic diagonal: row i, bottom up, divides
+    v_i - sum_(j>i) h_ij t_j by h_ii.  r is the reduced representative of v
+    modulo the column span of H."""
+    m = H.rows
+    t, r = [Poly.zero(H.field)] * m, [Poly.zero(H.field)] * m
+    for i in range(m - 1, -1, -1):
+        row, x = H.row(i), v[i]
+        for j in range(i + 1, m):
+            if not row[j].is_zero and not t[j].is_zero:
+                x = x - row[j] * t[j]
+        pivot = row[i]
+        if pivot.degree == 0:
+            t[i] = x
+        elif x.degree < pivot.degree:
+            r[i] = x
+        else:
+            t[i], r[i] = divmod(x, pivot)
+    return t, r
 
 
 def _diagonal_degree(L):
@@ -210,57 +221,40 @@ def intersect(L1, L2):
     return Lattice(L1.field, PolyMatrix.from_cols(L1.field, gens))
 
 
-def quotient_presentation(L):
-    """The quotient k[z]^m / L presented through the Smith form of its basis.
-
-    U*B*V = D gives k[z]^m / L  =  (+) k[z]/(d_i)  via v -> U v, so a vector
-    has field coordinates given blockwise by (U v)_i mod d_i.
-    """
-    U, D, _ = smith_normal_form(L.basis)
-    divisors = [D.entry(i, i) for i in range(L.m)]
-    return QuotientPresentation(L.field, U, divisors)
-
-
-class QuotientPresentation:
-    def __init__(self, field, U, divisors):
-        self.field = field
-        self.U = U
-        self.divisors = divisors
-        self.block_degrees = [int(d.degree) for d in divisors]
-        self.dim = sum(self.block_degrees)
-
-    def coords(self, vec):
-        """Field coordinates of the class of a polynomial vector."""
-        w = self.U.mul_vec(vec)
-        out = []
-        for wi, di, deg in zip(w, self.divisors, self.block_degrees):
-            r = wi % di if deg > 0 else Poly.zero(self.field)
-            out.extend(r.coeff(t) for t in range(deg))
-        return out
-
-    def monomial_coords(self, m, k):
-        """Columns of coordinates of z^i e_j, i < k, in the basis ordering
-        (e_1..e_m, z e_1..z e_m, ..., z^(k-1) e_1..z^(k-1) e_m)."""
-        cols = []
-        for i in range(k):
-            for j in range(m):
-                vec = [Poly.zero(self.field)] * m
-                vec[j] = Poly.monomial(self.field, self.field.one, i)
-                cols.append(self.coords(vec))
-        return cols
+def slice_column(L, k):
+    """The last block column of the slice matrix of a trivial lattice L: the
+    coefficient vectors of q_1..q_m in its monic basis z^k e_j - q_j(z),
+    deg q_j < k, in the monomial basis (e_1..e_m, ..., z^(k-1) e_1..
+    z^(k-1) e_m) of k[z]^m / L.  None when those m*k monomials are not a
+    basis of the quotient.  Their reductions modulo the Hermite basis give
+    an N x N field matrix C (N = m*k); q_j is C^-1 times the reduction of
+    z^k e_j."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    F, m, H = L.field, L.m, L.basis
+    degs = [int(H.entry(i, i).degree) for i in range(m)]
+    if sum(degs) != m * k:
+        raise ValueError(f"colength {sum(degs)} != m*k = {m * k}")
+    runs = []  # runs[j][t]: coordinates of the reduced z^t e_j, t = 0..k
+    for j in range(m):
+        v = [Poly.one(F) if i == j else Poly.zero(F) for i in range(m)]
+        run = []
+        for _ in range(k + 1):
+            v = _divide(H, v)[1]
+            run.append([p.coeff(s) for p, d in zip(v, degs) for s in range(d)])
+            v = [p.shift(1) for p in v]
+        runs.append(run)
+    C = [[runs[j][t][r] for t in range(k) for j in range(m)] for r in range(m * k)]
+    Cinv = linalg.inverse(F, C)
+    if Cinv is None:
+        return None
+    return [linalg.mat_vec(F, Cinv, run[k]) for run in runs]
 
 
 def quotient_basis_trivial(L, k):
     """Do the m*k monomial classes {z^i e_j : 0 <= i < k} form a basis of
     k[z]^m / L?  Precondition: colength(standard, L) = m*k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    pres = quotient_presentation(L)
-    if pres.dim != L.m * k:
-        raise ValueError(f"colength {pres.dim} != m*k = {L.m * k}")
-    cols = pres.monomial_coords(L.m, k)
-    rows = [list(r) for r in zip(*cols)]
-    return linalg.rank(L.field, rows) == L.m * k
+    return slice_column(L, k) is not None
 
 
 def splitting_type(L):

@@ -13,12 +13,12 @@ from . import linalg
 from .lattice import (
     Lattice,
     LatticeChain,
-    quotient_presentation,
+    slice_column,
     standard_lattice,
     validate_chain,
 )
 from .poly import Poly
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, det
 
 
 class SliceMatrix:
@@ -137,7 +137,8 @@ def validate_point(p):
     Y, flag, eig = p.Y, p.flag, p.eigenvalues
     F = Y.field
     n = len(eig)
-    if not validate_slice(Y):
+    pattern_ok = validate_slice(Y)
+    if not pattern_ok:
         failures.append("matrix does not have the slice block pattern")
     if len(flag) != n:
         failures.append(f"flag has {len(flag)} steps but {n} eigenvalues")
@@ -174,14 +175,31 @@ def validate_point(p):
                 )
                 break
         prev = W
-    target = Poly.one(F)
-    jumps = _jumps_from_dims(flag.dims())
-    for i, d in enumerate(jumps, start=1):
-        x = eig[n - i]
-        target = target * Poly(F, (F.neg(x), F.one)) ** d
-    if linalg.char_poly(F, Yrows) != target:
-        failures.append("characteristic polynomial does not match the eigenvalue list")
+    if pattern_ok:
+        # block companion identity: char(Y) = det(z^k I - A(z)), an m x m
+        # determinant over k[z] instead of the N x N one of zI - Y
+        roots = [x for x, d in zip(reversed(eig), _jumps_from_dims(dims)) for _ in range(d)]
+        target = Poly.from_roots(F, roots)
+        if det(PolyMatrix.from_cols(F, _monic_basis(Y))) != target:
+            failures.append("characteristic polynomial does not match the eigenvalue list")
     return failures
+
+
+def _monic_basis(Y):
+    """The basis columns z^k e_j - q_j(z) of the lattice of a slice matrix,
+    q_j the lift of the j-th column of the last block column."""
+    m, k, F, N = Y.m, Y.k, Y.field, Y.N
+    cols = []
+    for j in range(m):
+        col = [-p for p in _lift(F, m, k, [row[N - m + j] for row in Y.entries])]
+        col[j] = col[j] + Poly.monomial(F, F.one, k)
+        cols.append(col)
+    return cols
+
+
+def _lift(F, m, k, w):
+    """The degree-< k polynomial vector with monomial coordinate vector w."""
+    return [Poly(F, [w[t * m + j] for t in range(k)]) for j in range(m)]
 
 
 def _jumps_from_dims(dims):
@@ -198,10 +216,11 @@ def chain_to_slice(chain):
     monomial basis, W_i is the image of L_(n-i), eigenvalues are the chain
     points in order.
 
-    One Smith presentation of the quotient gives field coordinates of any
-    class; the N x N matrix C of the monomial classes' coordinates is
-    inverted once (singular C means the chain end is not trivial), and the
-    monomial coordinates of a class are then C^-1 times its coordinates."""
+    The monic basis z^k e_j - q_j(z) of L_n gives the last block column q_j
+    of Y (None from slice_column means the chain end is not trivial).  The
+    class of a polynomial vector sum_t z^t v_t is sum_t Y^t v_t, with v_t in
+    the first block, so Horner's rule with Y gives its monomial
+    coordinates."""
     problems = validate_chain(chain)
     if problems:
         raise ValueError("invalid chain: " + "; ".join(problems))
@@ -210,31 +229,34 @@ def chain_to_slice(chain):
     if N % m != 0:
         raise ValueError("total type is not divisible by the rank")
     k = N // m
-    if k < 1:
-        raise ValueError("k must be positive")
-    pres = quotient_presentation(chain.end)
-    C = pres.monomial_coords(m, k)  # N columns; validation makes pres.dim N
-    Cinv = linalg.inverse(F, [list(r) for r in zip(*C)])
-    if Cinv is None:
+    q = slice_column(chain.end, k)  # validation makes the colength N
+    if q is None:
         raise ValueError("monomial classes are not a basis of the quotient")
+    Yrows = [[F.one if r == c + m else F.zero for c in range(N - m)] for r in range(N)]
+    for r, row in enumerate(Yrows):
+        row.extend(qj[r] for qj in q)
+    Y = SliceMatrix(m, k, F, Yrows)
+
+    def times_z(w):
+        """Y w: every block moves down one, and z^k e_j becomes q_j."""
+        out = [F.zero] * m + w[: N - m]
+        for qj, c in zip(q, w[N - m :]):
+            if c != F.zero:
+                out = [F.add(a, F.mul(c, b)) for a, b in zip(out, qj)]
+        return out
 
     def monomial_coords(vec):
-        return linalg.mat_vec(F, Cinv, pres.coords(vec))
+        w = [F.zero] * N
+        for t in range(int(max(p.degree for p in vec)), -1, -1):
+            w = times_z(w)
+            for j, p in enumerate(vec):
+                w[j] = F.add(w[j], p.coeff(t))
+        return w
 
-    # z shifts the monomials z^i e_j with i < k-1 to basis vectors; only the
-    # classes of z^k e_j fill the last block column
-    Ycols = [[F.one if r == c + m else F.zero for r in range(N)] for c in range(N - m)]
-    for j in range(m):
-        vec = [Poly.zero(F)] * m
-        vec[j] = Poly.monomial(F, F.one, k)
-        Ycols.append(monomial_coords(vec))
-    Yrows = [[Ycols[j][i] for j in range(N)] for i in range(N)]
-    Y = SliceMatrix(m, k, F, Yrows)
     # W_i = image of L_(n-i) in the quotient: W_(i-1) plus the Krylov spans
-    # under Y (multiplication by z in monomial coordinates) of the basis
-    # columns of L_(n-i).  A Krylov run stops once its next vector lies in
-    # the span so far, which is then Y-stable; the image has dimension
-    # colength(L_(n-i), L_n), the sum of the last i types.
+    # under Y of the basis columns of L_(n-i).  A Krylov run stops once its
+    # next vector lies in the span so far, which is then Y-stable; the image
+    # has dimension colength(L_(n-i), L_n), the sum of the last i types.
     subspaces = []
     basis = []  # each vector is zero at the pivot rows of those before it
     lattices = [standard_lattice(m, F)] + list(chain.lattices)
@@ -247,7 +269,7 @@ def chain_to_slice(chain):
                 if all(e == F.zero for e in r):
                     break
                 basis.append(r)
-                v = linalg.mat_vec(F, Yrows, v)
+                v = times_z(v)
         subspaces.append(list(basis))
     flag = Flag(F, N, subspaces)
     return SlicePoint(Y, flag, chain.points)
@@ -257,42 +279,18 @@ def slice_to_chain(p):
     """The inverse bijection: L_n is the kernel of the evaluation map sending
     z^i e_j (i < k) to the standard basis and z to Y, generated by
     z^k e_j - q_j with q_j the degree-< k lift of Y^k applied to the j-th
-    basis vector; L_(n-i) adds lifts of a basis of W_i."""
+    basis vector, which is the j-th column of the last block column;
+    L_(n-i) adds lifts of a basis of W_i."""
     problems = validate_point(p)
     if problems:
         raise ValueError("invalid slice point: " + "; ".join(problems))
     Y = p.Y
-    m, k, F, N = Y.m, Y.k, Y.field, Y.N
+    m, k, F = Y.m, Y.k, Y.field
     n = len(p.eigenvalues)
-    Yrows = Y.rows()
-
-    def lift(w):
-        """The degree-< k polynomial vector with coordinate vector w."""
-        vec = [Poly.zero(F)] * m
-        for i in range(k):
-            for j in range(m):
-                c = w[i * m + j]
-                if c != F.zero:
-                    vec[j] = vec[j] + Poly.monomial(F, c, i)
-        return vec
-
-    gens_n = []
-    for j in range(m):
-        w = [F.zero] * N
-        w[j] = F.one
-        for _ in range(k):
-            w = linalg.mat_vec(F, Yrows, w)
-        q = lift(w)
-        col = [Poly.zero(F)] * m
-        col[j] = Poly.monomial(F, F.one, k)
-        gens_n.append([a - b for a, b in zip(col, q)])
-    Ln = Lattice(F, PolyMatrix.from_cols(F, gens_n))
-    lattices = [None] * (n + 1)
-    lattices[n] = Ln
-    for i in range(1, n):
-        W = p.flag.subspace(i - 1)
-        gens = [lift(list(col)) for col in W] + gens_n
-        lattices[n - i] = Lattice(F, PolyMatrix.from_cols(F, gens))
-    chain_lattices = [lattices[t] for t in range(1, n + 1)]
+    gens_n = _monic_basis(Y)
+    # L_1..L_(n-1) add lifts of W_(n-1)..W_1 to the basis of L_n
+    W = [p.flag.subspace(i - 1) for i in range(n - 1, 0, -1)]
+    lifts = [[_lift(F, m, k, col) for col in Wi] for Wi in W]
+    lattices = [Lattice(F, PolyMatrix.from_cols(F, g + gens_n)) for g in lifts + [[]]]
     types = _jumps_from_dims(p.flag.dims())[::-1]
-    return LatticeChain(m, F, p.eigenvalues, types, chain_lattices)
+    return LatticeChain(m, F, p.eigenvalues, types, lattices)

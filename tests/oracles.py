@@ -7,8 +7,9 @@ import itertools
 
 import sympy
 
+from latslice import linalg
 from latslice.lattice import ColouredDivisor, HeckeType, standard_lattice
-from latslice.poly import linear_roots
+from latslice.poly import Poly, linear_roots
 from latslice.polymatrix import PolyMatrix, det, smith_normal_form
 
 
@@ -76,6 +77,31 @@ def _smith_divisor(T):
             for x in roots
         }
     )
+
+
+# ---------------------------------------------------------------------------
+# Smith-form triviality test: U*B*V = D presents k[z]^m / L as the sum of
+# the k[z]/(d_i), and a vector v has field coordinates (U v)_i mod d_i.  The
+# monomial classes are a basis iff their coordinate matrix has full rank.
+# The lattice module reduces modulo the Hermite basis instead.
+
+def smith_quotient_trivial(L, k):
+    """Do the classes of z^t e_j, t < k, form a basis of k[z]^m / L?"""
+    F, m = L.field, L.m
+    U, D, _ = smith_normal_form(L.basis)
+    divisors = [D.entry(i, i) for i in range(m)]
+    if sum(int(d.degree) for d in divisors) != m * k:
+        raise ValueError("colength is not m*k")
+    cols = []
+    for t in range(k):
+        for j in range(m):
+            vec = [Poly.monomial(F, F.one, t) if i == j else Poly.zero(F) for i in range(m)]
+            col = []
+            for w, d in zip(U.mul_vec(vec), divisors):
+                r = w % d
+                col.extend(r.coeff(s) for s in range(int(d.degree)))
+            cols.append(col)
+    return linalg.rank(F, cols) == m * k
 
 
 # ---------------------------------------------------------------------------

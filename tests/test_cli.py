@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+from latslice import cli
+from test_exactalg import time_limit
+
 
 def run(*args, stdin=None):
     proc = subprocess.run(
@@ -114,6 +117,26 @@ class TestCount:
             "--points", "0,1", "--field", "Fp:3", "--end", "trivial",
         )
         assert json.loads(proc.stdout)["count"] == 12
+
+    def test_bad_arguments_exit_1(self, capsys):
+        # in process, so that no pool could start
+        base = ["--weights", "1,1", "--points", "0,1", "--field", "Fp:3"]
+        assert cli.main(["count", "chain-fiber", "--m", "2", "--k", "0", *base]) == 1
+        assert "k must be positive" in capsys.readouterr().err
+        assert cli.main(["count", "chain-fiber", "--m", "2", "--k", "1", "--jobs", "0", *base]) == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        # slice counting has no pool, so no --jobs flag: a usage error
+        slice_jobs = ["count", "slice-fiber", "--m", "2", "--k", "1", "--jobs", "2", *base]
+        assert cli.main([*slice_jobs, "--end", "trivial"]) == 2
+
+    def test_oversized_slice_space_refused(self, capsys):
+        argv = [
+            "count", "slice-fiber", "--m", "3", "--k", "2", "--weights", "1,2,1,2",
+            "--points", "0,1,2,0", "--field", "Fp:3", "--end", "trivial",
+        ]
+        with time_limit(10):
+            assert cli.main(argv) == 1
+        assert "3^18 = 387420489 matrices" in capsys.readouterr().err
 
     def test_fit(self):
         payload = json.dumps({"samples": [[2, 15], [3, 28], [4, 45]], "degree": 2})

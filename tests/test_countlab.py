@@ -67,6 +67,14 @@ class TestChainCount:
         report = count_chain_fiber(q, witnesses=True)
         assert len(report.witnesses) == report.count
 
+    def test_bad_arguments(self):
+        F = GF(3)
+        with pytest.raises(ValueError, match="k must be positive"):
+            FiberQuery(2, 0, (1, 1), (F.zero, F.one), F, "any")
+        q = FiberQuery(2, 1, (1, 1), (F.zero, F.one), F, "any")
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            count_chain_fiber(q, jobs=0)
+
     def test_jobs_agree(self):
         F = GF(3)
         q = FiberQuery(2, 1, (1, 1), (F.zero, F.one), F, "any")

@@ -21,6 +21,7 @@ from latslice.lattice import (
     intersect,
     lattice_sum,
     quotient_basis_trivial,
+    slice_column,
     splitting_type,
     standard_lattice,
     transition_matrix,
@@ -374,3 +375,46 @@ class TestValidateChainAgainstDivisors:
             assert validate_chain(chain) == oracles.divisor_step_failures(chain) == [
                 "step 1: modification is not omega_2 concentrated at the marked point"
             ]
+
+
+class TestTrivialityAgainstSmith:
+    """Reduction modulo the Hermite basis against the Smith presentation it
+    replaced, on seeded chain endpoints of colength m*k."""
+
+    @pytest.mark.parametrize("F", [GF(2), GF(3), QQ], ids=["GF2", "GF3", "QQ"])
+    def test_seeded_endpoints(self, F):
+        rng = random.Random(31)
+        points = [F.from_int(c) for c in (0, 1)]
+        verdicts = []
+        for m, k in ((2, 1), (2, 2), (3, 1), (3, 2), (2, 3)):
+            for _ in range(12):
+                L, left = standard_lattice(m, F), m * k
+                while left:
+                    j = rng.randint(1, min(m - 1, left))
+                    L = _random_step(rng, L, points[rng.randrange(2)], j)
+                    left -= j
+                trivial = quotient_basis_trivial(L, k)
+                assert trivial == oracles.smith_quotient_trivial(L, k)
+                q = slice_column(L, k)
+                if trivial:
+                    # z^k e_j - q_j(z) is a basis of L
+                    cols = []
+                    for j, qj in enumerate(q):
+                        col = [
+                            -Poly(F, [qj[t * m + i] for t in range(k)]) for i in range(m)
+                        ]
+                        col[j] = col[j] + Poly.monomial(F, F.one, k)
+                        cols.append(col)
+                    assert Lattice(F, PolyMatrix.from_cols(F, cols)) == L
+                else:
+                    assert q is None
+                verdicts.append(trivial)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_argument_errors(self):
+        F = GF(3)
+        L = scale(standard_lattice(2, F), Poly.monomial(F, F.one, 2))
+        with pytest.raises(ValueError, match="k must be positive"):
+            quotient_basis_trivial(L, 0)
+        with pytest.raises(ValueError, match="colength 4 != m\\*k = 2"):
+            quotient_basis_trivial(L, 1)

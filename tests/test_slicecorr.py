@@ -4,14 +4,16 @@ import random
 
 import pytest
 
+from latslice import linalg
 from latslice.fields import GF, QQ
 from latslice.lattice import Lattice, LatticeChain, standard_lattice
 from latslice.poly import Poly
-from latslice.polymatrix import PolyMatrix
+from latslice.polymatrix import PolyMatrix, det
 from latslice.slicecorr import (
     Flag,
     SliceMatrix,
     SlicePoint,
+    _monic_basis,
     base_point,
     chain_to_slice,
     slice_to_chain,
@@ -78,6 +80,22 @@ class TestValidateSlice:
         assert not validate_slice(SliceMatrix(2, 2, F, rows))
 
 
+class TestCharPoly:
+    @pytest.mark.parametrize("F", [GF(5), QQ], ids=["GF5", "QQ"])
+    def test_block_companion_identity(self, F):
+        """det(z^k I - A(z)) over the monic basis equals det(zI - Y)."""
+        rng = random.Random(43)
+        for k in (1, 2, 3):
+            for _ in range(6):
+                m = rng.randint(1, 3)
+                rows = [list(r) for r in base_point(m, k, F).entries]
+                for row in rows:
+                    row[m * k - m :] = [F.from_int(rng.randint(-2, 2)) for _ in range(m)]
+                Y = SliceMatrix(m, k, F, rows)
+                monic = det(PolyMatrix.from_cols(F, _monic_basis(Y)))
+                assert monic == linalg.char_poly(F, rows)
+
+
 class TestValidatePoint:
     def point(self, F, line):
         Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])
@@ -92,6 +110,26 @@ class TestValidatePoint:
         F = GF(3)
         failures = validate_point(self.point(F, [[F.one, F.one]]))
         assert failures != []
+
+    def test_malformed_matrix_skips_char_poly(self):
+        F = GF(2)
+        rows = [list(r) for r in base_point(2, 2, F).entries]
+        rows[0][0] = F.one  # block (1,1) must be zero when k = 2
+        flag = Flag(F, 4, [[[F.one if i == j else F.zero for j in range(4)] for i in range(4)]])
+        failures = validate_point(SlicePoint(SliceMatrix(2, 2, F, rows), flag, (F.one,)))
+        assert failures[0] == "matrix does not have the slice block pattern"
+        assert not any("characteristic" in f for f in failures)
+
+    def test_char_poly_mismatch_reported(self):
+        # a partial flag: one stable line on which Y acts by 1, so only the
+        # full-space and characteristic polynomial checks fail
+        F = GF(3)
+        Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])
+        p = SlicePoint(Y, Flag(F, 2, [[[F.zero, F.one]]]), (F.one,))
+        assert validate_point(p) == [
+            "flag does not end at the full space",
+            "characteristic polynomial does not match the eigenvalue list",
+        ]
 
     def test_nilpotent_base_valid(self):
         F = GF(2)
