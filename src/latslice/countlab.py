@@ -16,7 +16,15 @@ from .lattice import (
 from .poly import Poly
 from .polymatrix import PolyMatrix
 from .reptheory import WeightSeq, gaussian_binomial, invariant_dim
-from .slicecorr import Flag, SliceMatrix, SlicePoint, chain_to_slice, slice_to_chain
+from .slicecorr import (
+    Flag,
+    SliceMatrix,
+    SlicePoint,
+    base_point,
+    chain_to_slice,
+    slice_to_chain,
+    target_poly,
+)
 
 END_CONDITIONS = ("any", "trivial", "exact-zk")
 
@@ -100,14 +108,18 @@ def step_choices(L, x, j):
     return out
 
 
-def _end_ok(query, L):
+def _end_test(query):
+    """The query's end condition as a predicate on lattices; the exact-z^k
+    target is built once.  A closure does not pickle, so each pool task
+    makes its own."""
+    F, k = query.field, query.k
     if query.end_condition == "any":
-        return True
+        return lambda L: True
     if query.end_condition == "trivial":
-        return quotient_basis_trivial(L, query.k)
-    zk = Poly.monomial(query.field, query.field.one, query.k)
-    target = Lattice(query.field, PolyMatrix.identity(query.field, query.m).scale_poly(zk))
-    return L == target
+        return lambda L: quotient_basis_trivial(L, k)
+    zk = Poly.monomial(F, F.one, k)
+    target = Lattice(F, PolyMatrix.identity(F, query.m).scale_poly(zk))
+    return lambda L: L == target
 
 
 def count_chain_fiber(query, witnesses=False, jobs=1):
@@ -120,7 +132,7 @@ def count_chain_fiber(query, witnesses=False, jobs=1):
     t0 = time.perf_counter()
     std = standard_lattice(query.m, query.field)
     if not query.points:
-        count = 1 if _end_ok(query, std) else 0
+        count = 1 if _end_test(query)(std) else 0
         wit = [LatticeChain(query.m, query.field, (), (), ())] * count if witnesses else None
     else:
         first = step_choices(std, query.points[0], query.types.entries[0])
@@ -140,6 +152,7 @@ def count_chain_fiber(query, witnesses=False, jobs=1):
 
 def _count_subtree_task(task):
     query, L1, witnesses = task
+    end_ok = _end_test(query)
     count = 0
     found = []
 
@@ -147,7 +160,7 @@ def _count_subtree_task(task):
         nonlocal count
         depth = len(prefix)
         if depth == len(query.points):
-            if _end_ok(query, prefix[-1]):
+            if end_ok(prefix[-1]):
                 count += 1
                 if witnesses:
                     found.append(
@@ -181,25 +194,18 @@ def enumerate_slice_matrices(m, k, field):
             f"the slice space at m={m}, k={k}, q={field.p} holds {field.p}^{m * m * k}"
             f" = {size} matrices, over the limit of {MAX_SLICE_MATRICES}"
         )
-    N = m * k
     els = list(field.elements())
-    base = [[field.zero] * N for _ in range(N)]
-    for i in range(N - m):
-        base[i + m][i] = field.one
-    for values in product(els, repeat=N * m):
-        rows = [list(r) for r in base]
-        t = 0
-        for i in range(N):
-            for j in range(N - m, N):
-                rows[i][j] = values[t]
-                t += 1
-        yield SliceMatrix(m, k, field, rows)
+    prefixes = [row[: m * k - m] for row in base_point(m, k, field).entries]
+    for values in product(els, repeat=m * m * k):
+        yield SliceMatrix(
+            m, k, field, [pre + values[i * m : i * m + m] for i, pre in enumerate(prefixes)]
+        )
 
 
-def _stable_flags(field, Yrows, points, types):
-    """All flags W_1 < ... < W_n compatible with Y: Y-stable steps, scalar
-    x_(n-i+1) and jump pi_(n-i+1) on W_i/W_(i-1)."""
-    N = len(Yrows)
+def _stable_flags(Y, points, types):
+    """All flags W_1 < ... < W_n compatible with the slice matrix Y: Y-stable
+    steps, scalar x_(n-i+1) and jump pi_(n-i+1) on W_i/W_(i-1)."""
+    field, N = Y.field, Y.N
     n = len(points)
 
     def rec(i, W):
@@ -218,7 +224,7 @@ def _stable_flags(field, Yrows, points, types):
         for r in others:
             e = [field.zero] * N
             e[r] = field.one
-            img = linalg.mat_vec(field, Yrows, e)
+            img = Y.times_z(e)
             img = [field.sub(a, field.mul(x, b)) for a, b in zip(img, e)]
             red = linalg.reduce_mod_subspace(field, W, img)
             qmat.append([red[t] for t in others])
@@ -256,25 +262,27 @@ def count_slice_fiber(query, witnesses=False):
         raise ValueError("the slice model counts the trivial locus only")
     t0 = time.perf_counter()
     F = query.field
-    target = _target_poly(query)
+    target = target_poly(F, query.points, query.types.entries)
+    matrices = (
+        Y
+        for Y in enumerate_slice_matrices(query.m, query.k, F)
+        if linalg.char_poly(F, Y.entries) == target
+    )
     count = 0
     found = [] if witnesses else None
-    for Y in enumerate_slice_matrices(query.m, query.k, F):
-        Yrows = Y.rows()
-        if linalg.char_poly(F, Yrows) != target:
-            continue
-        for flags in _stable_flags(F, Yrows, query.points, query.types.entries):
-            count += 1
-            if witnesses:
-                found.append(SlicePoint(Y, Flag(F, Y.N, flags), query.points))
+    for Y, flags in _slice_fiber(query, matrices):
+        count += 1
+        if witnesses:
+            found.append(SlicePoint(Y, Flag(F, Y.N, flags), query.points))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return CountReport(query, count, elapsed, found)
 
 
-def _target_poly(query):
-    """prod (z - x_i)^(pi_i): the characteristic polynomial of the fiber."""
-    roots = [x for x, j in zip(query.points, query.types.entries) for _ in range(j)]
-    return Poly.from_roots(query.field, roots)
+def _slice_fiber(query, matrices):
+    """(Y, flags) for every flag compatible with each matrix of the stream."""
+    for Y in matrices:
+        for flags in _stable_flags(Y, query.points, query.types.entries):
+            yield Y, flags
 
 
 class FitResult:
@@ -402,19 +410,14 @@ def _slice_counts_by_eigenvalues(m, k, field):
     once per (m, k, q)."""
     buckets = {}
     for Y in enumerate_slice_matrices(m, k, field):
-        cp = linalg.char_poly(field, Y.rows())
+        cp = linalg.char_poly(field, Y.entries)
         buckets.setdefault(cp, []).append(Y)
     return buckets
 
 
 def _slice_fiber_count_cached(query, buckets):
-    F = query.field
-    count = 0
-    for Y in buckets.get(_target_poly(query), ()):
-        Yrows = Y.rows()
-        for _ in _stable_flags(F, Yrows, query.points, query.types.entries):
-            count += 1
-    return count
+    target = target_poly(query.field, query.points, query.types.entries)
+    return sum(1 for _ in _slice_fiber(query, buckets.get(target, ())))
 
 
 def suite_roundtrip(grid=DEFAULT_GRID, qs=(2, 3), randoms=200, seed=20240229):

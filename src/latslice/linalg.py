@@ -9,8 +9,8 @@ equality of representations).
 
 from itertools import combinations, product
 
+from . import polymatrix
 from .poly import Poly
-from .polymatrix import PolyMatrix, det
 
 
 def zeros(field, n):
@@ -73,19 +73,6 @@ def kernel_basis(field, rows):
             v[pc] = field.neg(a[r][fc])
         basis.append(v)
     return basis
-
-
-def solve(field, A, b):
-    """One solution of A x = b, or None."""
-    ncols = len(A[0]) if A else 0
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    a, pivots = rref(field, aug)
-    if ncols in pivots:
-        return None
-    x = zeros(field, ncols)
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][ncols]
-    return x
 
 
 def inverse(field, A):
@@ -166,4 +153,4 @@ def char_poly(field, A):
         for j in range(n):
             diag = Poly.x(field) if i == j else Poly.zero(field)
             entries.append(diag - Poly.const(field, A[i][j]))
-    return det(PolyMatrix(field, n, n, entries))
+    return polymatrix.det(polymatrix.PolyMatrix(field, n, n, entries))

@@ -5,6 +5,7 @@ Everything is exact.  The determinant uses Bareiss fraction-free elimination
 reduction are the classical Euclidean algorithms with unimodular tracking.
 """
 
+from . import linalg
 from .poly import Poly
 
 
@@ -351,9 +352,10 @@ def column_reduce(M):
         if any(d < 0 for d in degs):
             raise ValueError("singular matrix")
         lead = [[cols[j][i].coeff(degs[j]) if degs[j] >= 0 else F.zero for j in range(n)] for i in range(n)]
-        combo = _field_kernel_vector(F, lead)
-        if combo is None:
+        kernel = linalg.kernel_basis(F, lead)
+        if not kernel:
             return PolyMatrix.from_cols(F, cols), degs
+        combo = kernel[0]
         jstar = max((j for j in range(n) if combo[j] != F.zero), key=lambda j: degs[j])
         for j in range(n):
             if j == jstar or combo[j] == F.zero:
@@ -362,33 +364,3 @@ def column_reduce(M):
             shift = degs[jstar] - degs[j]
             for r in range(n):
                 cols[jstar][r] = cols[jstar][r] + cols[j][r].scale(c).shift(shift)
-
-
-def _field_kernel_vector(field, rows):
-    """One nonzero kernel vector of a square field matrix, or None."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    where = []  # (pivot_row, pivot_col)
-    prow = 0
-    for col in range(n):
-        piv = next((r for r in range(prow, n) if a[r][col] != field.zero), None)
-        if piv is None:
-            continue
-        a[prow], a[piv] = a[piv], a[prow]
-        inv = field.inv(a[prow][col])
-        a[prow] = [field.mul(inv, e) for e in a[prow]]
-        for r in range(n):
-            if r != prow and a[r][col] != field.zero:
-                c = a[r][col]
-                a[r] = [field.sub(a[r][k], field.mul(c, a[prow][k])) for k in range(n)]
-        where.append((prow, col))
-        prow += 1
-    if prow == n:
-        return None
-    pivot_cols = {c for _, c in where}
-    freecol = next(c for c in range(n) if c not in pivot_cols)
-    v = [field.zero] * n
-    v[freecol] = field.one
-    for r, c in where:
-        v[c] = field.neg(a[r][freecol])
-    return v

@@ -9,6 +9,8 @@ Flag indexing: W_i is the image of L_(n-i), so the jump of W_i over W_(i-1)
 is pi_(n-i+1) and the scalar action on W_i/W_(i-1) is x_(n-i+1).
 """
 
+from functools import cached_property
+
 from . import linalg
 from .lattice import (
     Lattice,
@@ -22,8 +24,10 @@ from .polymatrix import PolyMatrix, det
 
 
 class SliceMatrix:
-    """An N x N matrix (N = m*k) with identity m x m blocks on the first
-    subdiagonal, arbitrary last block column, zeros elsewhere."""
+    """An N x N matrix (N = m*k).  In the slice it has identity m x m blocks
+    on the first subdiagonal, an arbitrary last block column and zeros
+    elsewhere; the entries stay general so that a malformed matrix read from
+    input can be reported by validate_slice."""
 
     def __init__(self, m, k, field, entries):
         self.m = m
@@ -33,6 +37,34 @@ class SliceMatrix:
         self.entries = tuple(tuple(row) for row in entries)
         if len(self.entries) != self.N or any(len(r) != self.N for r in self.entries):
             raise ValueError("entries must be N x N")
+
+    @classmethod
+    def from_block_column(cls, m, k, field, block):
+        """The slice matrix whose last block column is block, given as its m
+        columns q_1..q_m of length N."""
+        N = m * k
+        one, zero = field.one, field.zero
+        rows = [
+            [one if r == c + m else zero for c in range(N - m)] + [qj[r] for qj in block]
+            for r in range(N)
+        ]
+        return cls(m, k, field, rows)
+
+    @cached_property
+    def block_column(self):
+        """The last block column as its m columns q_1..q_m of length N."""
+        N, m = self.N, self.m
+        return tuple(tuple(row[N - m + j] for row in self.entries) for j in range(m))
+
+    def times_z(self, w):
+        """Y w for a matrix with the slice pattern: every block of w moves down
+        one, and its last block combines the block column (z^k e_j is q_j)."""
+        F, m, N = self.field, self.m, self.N
+        out = [F.zero] * m + list(w[: N - m])
+        for qj, c in zip(self.block_column, w[N - m :]):
+            if c != F.zero:
+                out = [F.add(a, F.mul(c, b)) for a, b in zip(out, qj)]
+        return out
 
     def rows(self):
         return [list(r) for r in self.entries]
@@ -111,28 +143,24 @@ def base_point(m, k, field):
     last block column; multiplication by z on k[z]^m / z^k k[z]^m."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
-    N = m * k
-    rows = [[field.zero] * N for _ in range(N)]
-    for i in range(N - m):
-        rows[i + m][i] = field.one
-    return SliceMatrix(m, k, field, rows)
+    return SliceMatrix.from_block_column(m, k, field, [[field.zero] * (m * k)] * m)
 
 
 def validate_slice(Y):
     """Does the block pattern hold (identity subdiagonal blocks, arbitrary
     last block column, zeros elsewhere)?"""
-    m, k, F = Y.m, Y.k, Y.field
-    N = Y.N
-    for i in range(N):
-        for j in range(N - m):  # last block column unconstrained
-            want = F.one if i == j + m else F.zero
-            if Y.entries[i][j] != want:
-                return False
-    return True
+    return Y == SliceMatrix.from_block_column(Y.m, Y.k, Y.field, Y.block_column)
+
+
+def target_poly(field, points, types):
+    """prod (z - x_i)^(pi_i): the characteristic polynomial of the fiber."""
+    return Poly.from_roots(field, [x for x, j in zip(points, types) for _ in range(j)])
 
 
 def validate_point(p):
-    """Check every invariant of a slice point; returns failure strings."""
+    """Check every invariant of a slice point; returns failure strings.  On a
+    matrix without the slice pattern only the pattern and the shape of the
+    flag are checked."""
     failures = []
     Y, flag, eig = p.Y, p.flag, p.eigenvalues
     F = Y.field
@@ -146,8 +174,9 @@ def validate_point(p):
     dims = flag.dims()
     if dims and dims[-1] != Y.N:
         failures.append("flag does not end at the full space")
+    if not pattern_ok:
+        return failures
     prev = []
-    Yrows = Y.rows()
     for i in range(1, n + 1):
         W = flag.subspace(i - 1)
         x = eig[n - i]  # scalar on W_i/W_(i-1) is x_(n-i+1)
@@ -155,16 +184,11 @@ def validate_point(p):
             failures.append(f"flag step {i}: inclusion is not strict")
         if not all(linalg.subspace_contains(F, W, list(col)) for col in prev):
             failures.append(f"flag step {i}: flag is not increasing")
-        for col in W:
-            img = linalg.mat_vec(F, Yrows, list(col))
-            if not linalg.subspace_contains(F, W, img):
-                failures.append(f"flag step {i}: subspace is not Y-stable")
-                break
-        for col in W:
-            shifted = [
-                F.sub(a, F.mul(x, b))
-                for a, b in zip(linalg.mat_vec(F, Yrows, list(col)), col)
-            ]
+        images = [Y.times_z(col) for col in W]
+        if not all(linalg.subspace_contains(F, W, img) for img in images):
+            failures.append(f"flag step {i}: subspace is not Y-stable")
+        for col, img in zip(W, images):
+            shifted = [F.sub(a, F.mul(x, b)) for a, b in zip(img, col)]
             if prev:
                 ok = linalg.subspace_contains(F, prev, shifted)
             else:
@@ -175,23 +199,21 @@ def validate_point(p):
                 )
                 break
         prev = W
-    if pattern_ok:
-        # block companion identity: char(Y) = det(z^k I - A(z)), an m x m
-        # determinant over k[z] instead of the N x N one of zI - Y
-        roots = [x for x, d in zip(reversed(eig), _jumps_from_dims(dims)) for _ in range(d)]
-        target = Poly.from_roots(F, roots)
-        if det(PolyMatrix.from_cols(F, _monic_basis(Y))) != target:
-            failures.append("characteristic polynomial does not match the eigenvalue list")
+    # block companion identity: char(Y) = det(z^k I - A(z)), an m x m
+    # determinant over k[z] instead of the N x N one of zI - Y
+    target = target_poly(F, eig, _jumps_from_dims(dims)[::-1])
+    if det(PolyMatrix.from_cols(F, _monic_basis(Y))) != target:
+        failures.append("characteristic polynomial does not match the eigenvalue list")
     return failures
 
 
 def _monic_basis(Y):
     """The basis columns z^k e_j - q_j(z) of the lattice of a slice matrix,
     q_j the lift of the j-th column of the last block column."""
-    m, k, F, N = Y.m, Y.k, Y.field, Y.N
+    m, k, F = Y.m, Y.k, Y.field
     cols = []
-    for j in range(m):
-        col = [-p for p in _lift(F, m, k, [row[N - m + j] for row in Y.entries])]
+    for j, qj in enumerate(Y.block_column):
+        col = [-p for p in _lift(F, m, k, qj)]
         col[j] = col[j] + Poly.monomial(F, F.one, k)
         cols.append(col)
     return cols
@@ -232,23 +254,12 @@ def chain_to_slice(chain):
     q = slice_column(chain.end, k)  # validation makes the colength N
     if q is None:
         raise ValueError("monomial classes are not a basis of the quotient")
-    Yrows = [[F.one if r == c + m else F.zero for c in range(N - m)] for r in range(N)]
-    for r, row in enumerate(Yrows):
-        row.extend(qj[r] for qj in q)
-    Y = SliceMatrix(m, k, F, Yrows)
-
-    def times_z(w):
-        """Y w: every block moves down one, and z^k e_j becomes q_j."""
-        out = [F.zero] * m + w[: N - m]
-        for qj, c in zip(q, w[N - m :]):
-            if c != F.zero:
-                out = [F.add(a, F.mul(c, b)) for a, b in zip(out, qj)]
-        return out
+    Y = SliceMatrix.from_block_column(m, k, F, q)
 
     def monomial_coords(vec):
         w = [F.zero] * N
         for t in range(int(max(p.degree for p in vec)), -1, -1):
-            w = times_z(w)
+            w = Y.times_z(w)
             for j, p in enumerate(vec):
                 w[j] = F.add(w[j], p.coeff(t))
         return w
@@ -269,7 +280,7 @@ def chain_to_slice(chain):
                 if all(e == F.zero for e in r):
                     break
                 basis.append(r)
-                v = times_z(v)
+                v = Y.times_z(v)
         subspaces.append(list(basis))
     flag = Flag(F, N, subspaces)
     return SlicePoint(Y, flag, chain.points)

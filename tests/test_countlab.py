@@ -79,6 +79,9 @@ class TestChainCount:
         F = GF(3)
         q = FiberQuery(2, 1, (1, 1), (F.zero, F.one), F, "any")
         assert count_chain_fiber(q, jobs=2).count == count_chain_fiber(q).count
+        # each pool task builds its own exact-z^k end test
+        q = FiberQuery(2, 2, (1, 1, 1, 1), (F.zero,) * 4, F, "exact-zk")
+        assert count_chain_fiber(q, jobs=2).count == count_chain_fiber(q).count
 
 
 class TestSliceCount:

@@ -33,6 +33,12 @@ def lat(field, cols):
     )
 
 
+def random_slice(rng, F, m, k):
+    """A slice matrix with a seeded random last block column."""
+    block = [[F.from_int(rng.randint(-2, 2)) for _ in range(m * k)] for _ in range(m)]
+    return SliceMatrix.from_block_column(m, k, F, block)
+
+
 def worked_chain(F):
     """m=2, k=1, points (0,1): L1 = span{z e1, e2}, L2 = span{z e1, (z-1) e2}."""
     L1 = lat(F, [[(0, 1), (0,)], [(0,), (1,)]])
@@ -74,10 +80,33 @@ class TestValidateSlice:
             assert validate_slice(Y)
 
     def test_bad_block(self):
+        # every entry outside the last block column is fixed by the pattern
         F = GF(3)
-        rows = [list(r) for r in base_point(2, 2, F).entries]
-        rows[0][0] = F.one  # block (1,1) must be zero when k = 2
-        assert not validate_slice(SliceMatrix(2, 2, F, rows))
+        Y = random_slice(random.Random(5), F, 2, 2)
+        for i in range(4):
+            for j in range(2):
+                rows = Y.rows()
+                rows[i][j] = F.add(rows[i][j], F.one)
+                assert not validate_slice(SliceMatrix(2, 2, F, rows))
+
+
+class TestSliceMatrix:
+    @pytest.mark.parametrize("F", [GF(5), QQ], ids=["GF5", "QQ"])
+    def test_times_z_is_the_dense_product(self, F):
+        rng = random.Random(47)
+        for k in (1, 2, 3):
+            for _ in range(6):
+                m = rng.randint(1, 3)
+                Y = random_slice(rng, F, m, k)
+                w = [F.from_int(rng.randint(-2, 2)) for _ in range(m * k)]
+                assert Y.times_z(w) == linalg.mat_vec(F, Y.rows(), w)
+
+    def test_block_column_gives_back_the_matrix(self):
+        rng = random.Random(53)
+        for F in (GF(5), QQ):
+            for m, k in ((1, 1), (2, 1), (2, 3), (3, 2)):
+                Y = random_slice(rng, F, m, k)
+                assert SliceMatrix.from_block_column(m, k, F, Y.block_column) == Y
 
 
 class TestCharPoly:
@@ -87,13 +116,9 @@ class TestCharPoly:
         rng = random.Random(43)
         for k in (1, 2, 3):
             for _ in range(6):
-                m = rng.randint(1, 3)
-                rows = [list(r) for r in base_point(m, k, F).entries]
-                for row in rows:
-                    row[m * k - m :] = [F.from_int(rng.randint(-2, 2)) for _ in range(m)]
-                Y = SliceMatrix(m, k, F, rows)
+                Y = random_slice(rng, F, rng.randint(1, 3), k)
                 monic = det(PolyMatrix.from_cols(F, _monic_basis(Y)))
-                assert monic == linalg.char_poly(F, rows)
+                assert monic == linalg.char_poly(F, Y.rows())
 
 
 class TestValidatePoint:
@@ -108,17 +133,30 @@ class TestValidatePoint:
 
     def test_unstable_line_invalid(self):
         F = GF(3)
-        failures = validate_point(self.point(F, [[F.one, F.one]]))
-        assert failures != []
+        assert validate_point(self.point(F, [[F.one, F.one]])) == [
+            "flag step 1: subspace is not Y-stable",
+            "flag step 1: Y does not act by the recorded scalar on the quotient",
+            "flag step 2: Y does not act by the recorded scalar on the quotient",
+        ]
 
     def test_malformed_matrix_skips_char_poly(self):
+        # only the pattern and the shape of the flag are checked: Y does not
+        # act by 1 on the full space, and that is not reported
         F = GF(2)
-        rows = [list(r) for r in base_point(2, 2, F).entries]
+        rows = base_point(2, 2, F).rows()
         rows[0][0] = F.one  # block (1,1) must be zero when k = 2
-        flag = Flag(F, 4, [[[F.one if i == j else F.zero for j in range(4)] for i in range(4)]])
-        failures = validate_point(SlicePoint(SliceMatrix(2, 2, F, rows), flag, (F.one,)))
-        assert failures[0] == "matrix does not have the slice block pattern"
-        assert not any("characteristic" in f for f in failures)
+        Y = SliceMatrix(2, 2, F, rows)
+        full = [[F.one if i == j else F.zero for j in range(4)] for i in range(4)]
+        pattern = "matrix does not have the slice block pattern"
+        assert validate_point(SlicePoint(Y, Flag(F, 4, [full]), (F.one,))) == [pattern]
+        assert validate_point(SlicePoint(Y, Flag(F, 4, [full[:3]]), (F.one,))) == [
+            pattern,
+            "flag does not end at the full space",
+        ]
+        assert validate_point(SlicePoint(Y, Flag(F, 4, [full]), (F.one, F.one))) == [
+            pattern,
+            "flag has 1 steps but 2 eigenvalues",
+        ]
 
     def test_char_poly_mismatch_reported(self):
         # a partial flag: one stable line on which Y acts by 1, so only the
