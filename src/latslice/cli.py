@@ -104,8 +104,6 @@ def build_parser():
         sp.add_argument("--field", required=True, help='"Fp:<p>"')
         sp.add_argument("--end", choices=("any", "trivial", "zk"), default="any")
         sp.add_argument("--witnesses", action="store_true")
-        if name == "chain-fiber":
-            sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out")
     sp = count_sub.add_parser("fit")
     sp.add_argument("payload", help='{"samples": [[q, count], ...], "degree": optional}')
@@ -210,7 +208,7 @@ def _count_command(args):
         end,
     )
     if args.subcommand == "chain-fiber":
-        report = countlab.count_chain_fiber(query, witnesses=args.witnesses, jobs=args.jobs)
+        report = countlab.count_chain_fiber(query, witnesses=args.witnesses)
     else:
         report = countlab.count_slice_fiber(query, witnesses=args.witnesses)
     out = report.to_json()
@@ -222,18 +220,28 @@ def _count_command(args):
     return 0, out
 
 
+# verify flag -> the suite parameter it sets
+_VERIFY_FLAGS = {"qs": "qs", "max_m": "grid", "randoms": "randoms"}
+
+
 def _verify_command(args):
-    budget = {}
-    if args.suite != "all":  # 'all' runs every suite with its defaults
+    # 'all' runs every suite with its defaults, so it takes no flag
+    params = {}
+    if args.suite != "all":
         params = inspect.signature(countlab.SUITES[args.suite]).parameters
-        if args.qs is not None:
-            budget["qs"] = tuple(_parse_ints(args.qs))
-        if args.max_m is not None and "grid" in params:
-            # the suite's default grid, cut at m; every entry starts with m
-            grid = params["grid"].default
-            budget["grid"] = tuple(entry for entry in grid if entry[0] <= args.max_m)
-        if args.randoms is not None and "randoms" in params:
-            budget["randoms"] = args.randoms
+    for flag, param in _VERIFY_FLAGS.items():
+        if getattr(args, flag) is not None and param not in params:
+            option = "--" + flag.replace("_", "-")
+            raise ValueError(f"{option} does not apply to the {args.suite!r} suite")
+    budget = {}
+    if args.qs is not None:
+        budget["qs"] = tuple(_parse_ints(args.qs))
+    if args.max_m is not None:
+        # the suite's default grid, cut at m; every entry starts with m
+        grid = params["grid"].default
+        budget["grid"] = tuple(entry for entry in grid if entry[0] <= args.max_m)
+    if args.randoms is not None:
+        budget["randoms"] = args.randoms
     report = countlab.verify_suite(args.suite, **budget)
     return (0 if report["pass"] else 1), report
 

@@ -9,7 +9,7 @@ from . import linalg
 from .lattice import (
     Lattice,
     LatticeChain,
-    colength,
+    contains,
     quotient_basis_trivial,
     standard_lattice,
 )
@@ -44,6 +44,10 @@ class FiberQuery:
         self.types = types if isinstance(types, WeightSeq) else WeightSeq(m, types)
         self.points = tuple(points)
         self.field = field
+        kinds = int if field.is_finite else (int, Fraction)
+        for x in self.points:
+            if isinstance(x, bool) or not isinstance(x, kinds):
+                raise ValueError(f"point {x!r} is not an element of {field!r}")
         self.end_condition = end_condition
         if len(self.points) != len(self.types):
             raise ValueError("points and types must have equal length")
@@ -109,77 +113,56 @@ def step_choices(L, x, j):
 
 
 def _end_test(query):
-    """The query's end condition as a predicate on lattices; the exact-z^k
-    target is built once.  A closure does not pickle, so each pool task
-    makes its own."""
+    """The query's end condition as two predicates on lattices: `keep`, which
+    every lattice of an accepted chain satisfies, and `end_ok`, which the
+    last one must.  Every lattice of a chain contains its end, so for
+    exact-z^k `keep` is containment of z^k k[z]^m; the target is built once."""
     F, k = query.field, query.k
+    always = lambda L: True
     if query.end_condition == "any":
-        return lambda L: True
+        return always, always
     if query.end_condition == "trivial":
-        return lambda L: quotient_basis_trivial(L, k)
+        return always, (lambda L: quotient_basis_trivial(L, k))
     zk = Poly.monomial(F, F.one, k)
     target = Lattice(F, PolyMatrix.identity(F, query.m).scale_poly(zk))
-    return lambda L: L == target
+    return (lambda L: contains(L, target)), (lambda L: L == target)
 
 
-def count_chain_fiber(query, witnesses=False, jobs=1):
-    """Depth-first enumeration of lattice chains for the query, filtered by
-    its end condition."""
+def count_chain_fiber(query, witnesses=False):
+    """Lattice chains for the query, filtered by its end condition, counted
+    level by level.  Each level maps every lattice reached to the number of
+    chains that reach it, or with witnesses to their tuples of lattices, so
+    chains through one lattice share its step choices; the end condition is
+    tested once per distinct last lattice."""
     if not query.field.is_finite:
         raise ValueError("chain counting needs a finite field")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     t0 = time.perf_counter()
-    std = standard_lattice(query.m, query.field)
-    if not query.points:
-        count = 1 if _end_test(query)(std) else 0
-        wit = [LatticeChain(query.m, query.field, (), (), ())] * count if witnesses else None
+    keep, end_ok = _end_test(query)
+    frontier = {standard_lattice(query.m, query.field): [()] if witnesses else 1}
+    for x, j in zip(query.points, query.types.entries):
+        reached = {}
+        for L, paths in frontier.items():
+            for nxt in step_choices(L, x, j):
+                if not keep(nxt):
+                    continue
+                if witnesses:
+                    reached.setdefault(nxt, []).extend(p + (nxt,) for p in paths)
+                else:
+                    reached[nxt] = reached.get(nxt, 0) + paths
+        frontier = reached
+    ends = [paths for L, paths in frontier.items() if end_ok(L)]
+    if witnesses:
+        wit = [
+            LatticeChain(query.m, query.field, query.points, query.types.entries, p)
+            for paths in ends
+            for p in paths
+        ]
+        count = len(wit)
     else:
-        first = step_choices(std, query.points[0], query.types.entries[0])
-        subtasks = [(query, L1, witnesses) for L1 in first]
-        if jobs > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(jobs) as pool:
-                results = pool.map(_count_subtree_task, subtasks)
-        else:
-            results = [_count_subtree_task(t) for t in subtasks]
-        count = sum(c for c, _ in results)
-        wit = [w for _, ws in results for w in ws] if witnesses else None
+        wit = None
+        count = sum(ends)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return CountReport(query, count, elapsed, wit)
-
-
-def _count_subtree_task(task):
-    query, L1, witnesses = task
-    end_ok = _end_test(query)
-    count = 0
-    found = []
-
-    def rec(prefix):
-        nonlocal count
-        depth = len(prefix)
-        if depth == len(query.points):
-            if end_ok(prefix[-1]):
-                count += 1
-                if witnesses:
-                    found.append(
-                        LatticeChain(
-                            query.m,
-                            query.field,
-                            query.points,
-                            query.types.entries,
-                            prefix,
-                        )
-                    )
-            return
-        x = query.points[depth]
-        j = query.types.entries[depth]
-        for nxt in step_choices(prefix[-1], x, j):
-            rec(prefix + [nxt])
-
-    rec([L1])
-    return count, found
 
 
 def enumerate_slice_matrices(m, k, field):

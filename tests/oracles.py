@@ -8,7 +8,15 @@ import itertools
 import sympy
 
 from latslice import linalg
-from latslice.lattice import ColouredDivisor, HeckeType, standard_lattice
+from latslice.countlab import step_choices
+from latslice.lattice import (
+    ColouredDivisor,
+    HeckeType,
+    Lattice,
+    LatticeChain,
+    quotient_basis_trivial,
+    standard_lattice,
+)
 from latslice.poly import Poly, linear_roots
 from latslice.polymatrix import PolyMatrix, det, smith_normal_form
 
@@ -102,6 +110,45 @@ def smith_quotient_trivial(L, k):
                 col.extend(r.coeff(s) for s in range(int(d.degree)))
             cols.append(col)
     return linalg.rank(F, cols) == m * k
+
+
+# ---------------------------------------------------------------------------
+# Depth-first chain enumeration: every chain walked on its own from the
+# standard lattice, with no pruning, and the end condition tested at each
+# leaf.  The counter merges chains that reach one lattice and prunes
+# lattices that cannot reach z^k instead.
+
+def dfs_chain_fiber(query, witnesses=False):
+    """(count, chains) for the query; chains is None without witnesses."""
+    F, m, k = query.field, query.m, query.k
+    if query.end_condition == "any":
+        end_ok = lambda L: True
+    elif query.end_condition == "trivial":
+        end_ok = lambda L: quotient_basis_trivial(L, k)
+    else:
+        zk = Poly.monomial(F, F.one, k)
+        target = Lattice(F, PolyMatrix.identity(F, m).scale_poly(zk))
+        end_ok = lambda L: L == target
+    found = []
+    count = 0
+
+    def rec(prefix, L):
+        nonlocal count
+        depth = len(prefix)
+        if depth == len(query.points):
+            if end_ok(L):
+                count += 1
+                if witnesses:
+                    found.append(
+                        LatticeChain(m, F, query.points, query.types.entries, prefix)
+                    )
+            return
+        x, j = query.points[depth], query.types.entries[depth]
+        for nxt in step_choices(L, x, j):
+            rec(prefix + [nxt], nxt)
+
+    rec([], standard_lattice(m, F))
+    return count, (found if witnesses else None)
 
 
 # ---------------------------------------------------------------------------

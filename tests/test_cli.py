@@ -119,13 +119,11 @@ class TestCount:
         assert json.loads(proc.stdout)["count"] == 12
 
     def test_bad_arguments_exit_1(self, capsys):
-        # in process, so that no pool could start
         base = ["--weights", "1,1", "--points", "0,1", "--field", "Fp:3"]
         assert cli.main(["count", "chain-fiber", "--m", "2", "--k", "0", *base]) == 1
         assert "k must be positive" in capsys.readouterr().err
-        assert cli.main(["count", "chain-fiber", "--m", "2", "--k", "1", "--jobs", "0", *base]) == 1
-        assert "jobs must be at least 1" in capsys.readouterr().err
-        # slice counting has no pool, so no --jobs flag: a usage error
+        # neither counter has a --jobs flag: a usage error
+        assert cli.main(["count", "chain-fiber", "--m", "2", "--k", "1", "--jobs", "0", *base]) == 2
         slice_jobs = ["count", "slice-fiber", "--m", "2", "--k", "1", "--jobs", "2", *base]
         assert cli.main([*slice_jobs, "--end", "trivial"]) == 2
 
@@ -154,3 +152,18 @@ class TestVerify:
     def test_unknown_suite_exit_1(self):
         proc = run("verify", "no-such-suite")
         assert proc.returncode != 0
+
+    def test_ignored_flags_exit_1(self, capsys):
+        # in process; each is refused before any suite runs
+        for suite, flags in (
+            ("central-leading", ["--max-m", "1"]),
+            ("central-leading", ["--randoms", "3"]),
+            ("counts-equal", ["--randoms", "3"]),
+            ("all", ["--qs", "2"]),
+            ("all", ["--max-m", "1"]),
+            ("all", ["--randoms", "3"]),
+        ):
+            assert cli.main(["verify", suite, *flags]) == 1
+            err = capsys.readouterr().err
+            assert f"{flags[0]} does not apply to the '{suite}' suite" in err
+        assert cli.main(["verify", "central-leading", "--qs", "2,3,5"]) == 0

@@ -1,10 +1,15 @@
 """Fiber counting in both models, polynomial fitting, verification suites."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
-from latslice.fields import GF
+from latslice.fields import GF, QQ
 from latslice.lattice import standard_lattice
 from latslice.countlab import (
+    END_CONDITIONS,
     FiberQuery,
     count_chain_fiber,
     count_slice_fiber,
@@ -71,17 +76,51 @@ class TestChainCount:
         F = GF(3)
         with pytest.raises(ValueError, match="k must be positive"):
             FiberQuery(2, 0, (1, 1), (F.zero, F.one), F, "any")
-        q = FiberQuery(2, 1, (1, 1), (F.zero, F.one), F, "any")
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            count_chain_fiber(q, jobs=0)
 
-    def test_jobs_agree(self):
+    def test_non_field_points_rejected(self):
+        for field, point in ((GF(3), 0.5), (GF(3), True), (GF(3), "1"), (QQ, 0.5), (QQ, False)):
+            with pytest.raises(ValueError, match=f"point {point!r} is not an element"):
+                FiberQuery(2, 1, (1, 1), (point, 1), field, "trivial")
+        FiberQuery(2, 1, (1, 1), (Fraction(1, 2), 1), QQ, "trivial")
+
+    def test_agrees_with_dfs(self):
+        # the exact-z^k central fibre at m=2, k=2 over GF(3), then seeded
+        # queries at m=2,3, k=1..3 over GF(2) and GF(3), every end condition,
+        # all-zero and random points, each of at most 1000 chains
         F = GF(3)
-        q = FiberQuery(2, 1, (1, 1), (F.zero, F.one), F, "any")
-        assert count_chain_fiber(q, jobs=2).count == count_chain_fiber(q).count
-        # each pool task builds its own exact-z^k end test
-        q = FiberQuery(2, 2, (1, 1, 1, 1), (F.zero,) * 4, F, "exact-zk")
-        assert count_chain_fiber(q, jobs=2).count == count_chain_fiber(q).count
+        queries = [FiberQuery(2, 2, (1, 1, 1, 1), (F.zero,) * 4, F, "exact-zk")]
+        rng = random.Random(20261018)
+        for (m, k), p, end, zero in itertools.product(
+            ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)), (2, 3), END_CONDITIONS, (True, False)
+        ):
+            types = _small_types(m, k, p)
+            if not types:
+                continue
+            types = rng.choice(types)
+            pts = [0 if zero else rng.randrange(p) for _ in types]
+            queries.append(FiberQuery(m, k, types, pts, GF(p), end))
+        assert len(queries) == 49
+        for query in queries:
+            count, chains = oracles.dfs_chain_fiber(query, witnesses=True)
+            assert count_chain_fiber(query).count == count, query
+            report = count_chain_fiber(query, witnesses=True)
+            assert report.count == count, query
+            assert set(report.witnesses) == set(chains), query
+        assert oracles.dfs_chain_fiber(queries[0]) == (28, None)
+
+
+def _small_types(m, k, p, max_chains=1000):
+    """Every type sequence summing to m*k with at most max_chains chains over
+    GF(p), so that the depth-first walk stays short."""
+    out = []
+    for n in range(k, m * k + 1):
+        for types in itertools.product(range(1, m), repeat=n):
+            chains = 1
+            for j in types:
+                chains *= gaussian_binomial(m, j, p)
+            if sum(types) == m * k and chains <= max_chains:
+                out.append(types)
+    return out
 
 
 class TestSliceCount:
@@ -130,6 +169,19 @@ class TestSuites:
     def test_central_leading(self):
         report = suite_central_leading()
         assert report["pass"]
+
+    def test_central_leading_six_points(self):
+        report = suite_central_leading(m=2, types=(1,) * 6, qs=(2, 3, 5, 7), held_out=11)
+        assert report["pass"]
+        samples = report["cases"][0]["params"]["samples"]
+        assert samples == [(q, oracles.tree_walk_count(q, 6)) for q in (2, 3, 5, 7, 11)]
+        assert [c for _, c in samples] == [87, 232, 876, 2192, 7800]
+        assert [c["actual"] for c in report["cases"][1:]] == [3, 5]
+
+    def test_central_leading_rank_three(self):
+        report = suite_central_leading(m=3, types=(1, 1, 1), qs=(2, 3, 5, 7), held_out=11)
+        assert report["pass"]
+        assert [c["actual"] for c in report["cases"][1:]] == [3, 1]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
