@@ -190,10 +190,8 @@ def _rep_command(args):
 
 def _count_command(args):
     if args.subcommand == "fit":
-        data = _read_payload(args.payload)
-        serialize._require_keys(data, ("samples",), optional=("degree",), where="payload")
-        samples = [(int(q), int(c)) for q, c in data["samples"]]
-        res = countlab.fit_q_polynomial(samples, degree=data.get("degree"))
+        samples, degree = serialize.parse_fit(_read_payload(args.payload))
+        res = countlab.fit_q_polynomial(samples, degree=degree)
         return (0 if res.success else 1), res.to_json()
     field = Field.from_code(args.field)
     if not field.is_finite:

@@ -100,16 +100,30 @@ def step_choices(L, x, j):
     m = L.m
     if not 1 <= j <= m - 1:
         raise ValueError("need 1 <= j <= m-1")
-    lin = Poly(F, (F.neg(x), F.one))
-    shifted = L.basis.scale_poly(lin)
-    out = []
-    for S in linalg.subspaces(F, m, m - j):
-        gens = [
-            L.basis.mul_vec([Poly.const(F, c) for c in col]) for col in S
-        ]
-        gens += shifted.columns()
-        out.append(Lattice(F, PolyMatrix.from_cols(F, gens)))
-    return out
+    shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
+    return [_preimage(L, shifted, S) for S in linalg.subspaces(F, m, m - j)]
+
+
+def _preimage(L, shifted, vecs):
+    """The lattice between (z-x)L, given by its generators `shifted`, and L
+    whose image in L/(z-x)L is the span of the coordinate vectors `vecs`."""
+    F = L.field
+    gens = [L.basis.mul_vec([Poly.const(F, c) for c in v]) for v in vecs]
+    return Lattice(F, PolyMatrix.from_cols(F, gens + shifted))
+
+
+def _chain_ends(m, k, field, points):
+    """The ends of all lattice chains of total colength m*k with every step
+    at one of the points, over every type sequence: the lattices reached
+    from k[z]^m by minuscule steps, collected one colength level at a time."""
+    total = m * k
+    levels = [{standard_lattice(m, field)}] + [set() for _ in range(total)]
+    for c in range(total):
+        for L in levels[c]:
+            for x in points:
+                for j in range(1, min(m - 1, total - c) + 1):
+                    levels[c + j].update(step_choices(L, x, j))
+    return levels[total]
 
 
 def _end_test(query):
@@ -358,14 +372,12 @@ def _case(params, expected, actual):
     }
 
 
-def _point_configs(field, n, distinct_only=False):
-    els = list(field.elements())
-    if distinct_only:
-        return list(permutations(els, n)) if len(els) >= n else []
-    return list(product(els, repeat=n))
+def _point_configs(field, n):
+    """Every configuration of n distinct points of the finite field."""
+    return list(permutations(field.elements(), n))
 
 
-def suite_counts_equal(grid=DEFAULT_GRID, qs=(2, 3), distinct_only=True):
+def suite_counts_equal(grid=DEFAULT_GRID, qs=(2, 3)):
     """Cross-model equality: trivial chain count = slice count (the bijection
     at the level of F_q points), per configuration."""
     from .fields import GF
@@ -374,7 +386,7 @@ def suite_counts_equal(grid=DEFAULT_GRID, qs=(2, 3), distinct_only=True):
     for m, k, types in grid:
         for q in qs:
             slice_cache = _slice_counts_by_eigenvalues(m, k, GF(q))
-            for pts in _point_configs(GF(q), len(types), distinct_only):
+            for pts in _point_configs(GF(q), len(types)):
                 query = FiberQuery(m, k, types, pts, GF(q), "trivial")
                 chain_count = count_chain_fiber(query).count
                 slice_count = _slice_fiber_count_cached(query, slice_cache)
@@ -403,7 +415,10 @@ def _slice_fiber_count_cached(query, buckets):
     return sum(1 for _ in _slice_fiber(query, buckets.get(target, ())))
 
 
-def suite_roundtrip(grid=DEFAULT_GRID, qs=(2, 3), randoms=200, seed=20240229):
+ROUNDTRIP_SEED = 20240229
+
+
+def suite_roundtrip(grid=DEFAULT_GRID, qs=(2, 3), randoms=200):
     """Both roundtrip identities on every trivial-locus witness enumerated
     over distinct-point configurations, plus random chains over F_5 and Q."""
     import random
@@ -414,13 +429,14 @@ def suite_roundtrip(grid=DEFAULT_GRID, qs=(2, 3), randoms=200, seed=20240229):
     for m, k, types in grid:
         for q in qs:
             F = GF(q)
-            for pts in _point_configs(F, len(types), distinct_only=True):
+            for pts in _point_configs(F, len(types)):
                 query = FiberQuery(m, k, types, pts, F, "trivial")
                 report = count_chain_fiber(query, witnesses=True)
                 bad = 0
                 for chain in report.witnesses:
                     p = chain_to_slice(chain)
-                    if slice_to_chain(p) != chain or chain_to_slice(slice_to_chain(p)) != p:
+                    back = slice_to_chain(p)
+                    if back != chain or chain_to_slice(back) != p:
                         bad += 1
                 cases.append(
                     _case(
@@ -436,7 +452,7 @@ def suite_roundtrip(grid=DEFAULT_GRID, qs=(2, 3), randoms=200, seed=20240229):
                         bad,
                     )
                 )
-    rng = random.Random(seed)
+    rng = random.Random(ROUNDTRIP_SEED)
     for m, k, types in grid:
         for field in (GF(5), QQ):
             bad = 0
@@ -472,19 +488,16 @@ def _random_step(rng, L, x, j):
     """A random colength-j sublattice with (z-x)L <= L' <= L."""
     F = L.field
     m = L.m
-    lin = Poly(F, (F.neg(x), F.one))
     if F.is_finite:
         els = list(F.elements())
         sample = lambda: els[rng.randrange(len(els))]
     else:
         sample = lambda: F.from_int(rng.randint(-3, 3))
+    shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
     for _ in range(50):
         vecs = [[sample() for _ in range(m)] for _ in range(m - j)]
         if linalg.rank(F, vecs) == m - j:
-            gens = [
-                L.basis.mul_vec([Poly.const(F, c) for c in v]) for v in vecs
-            ] + L.basis.scale_poly(lin).columns()
-            return Lattice(F, PolyMatrix.from_cols(F, gens))
+            return _preimage(L, shifted, vecs)
     return None
 
 
@@ -517,12 +530,7 @@ def suite_triviality_agree(grid=PAIR_GRID, qs=(2, 3)):
     for m, k in grid:
         for q in qs:
             F = GF(q)
-            endpoints = set()
-            for types in _compositions(m * k, m - 1):
-                for pts in _point_configs(F, len(types)):
-                    query = FiberQuery(m, k, types, pts, F, "any")
-                    for chain in count_chain_fiber(query, witnesses=True).witnesses:
-                        endpoints.add(chain.end)
+            endpoints = _chain_ends(m, k, F, F.elements())
             disagreements = 0
             for L in endpoints:
                 a = quotient_basis_trivial(L, k)
@@ -539,22 +547,6 @@ def suite_triviality_agree(grid=PAIR_GRID, qs=(2, 3)):
     return _suite_report("triviality-agree", cases)
 
 
-def _default_types(m, k):
-    """A canonical type sequence of 1s summing to m*k (always admissible)."""
-    return (1,) * (m * k)
-
-
-def _compositions(total, maxpart):
-    """All ordered sequences with entries in 1..maxpart summing to total."""
-    if total == 0:
-        return [()]
-    out = []
-    for first in range(1, min(maxpart, total) + 1):
-        for rest in _compositions(total - first, maxpart):
-            out.append((first,) + rest)
-    return out
-
-
 def suite_factorization(grid=PAIR_GRID, qs=(2, 3)):
     """Factorization over two disjoint points: reconstruction by intersection,
     Hecke types split by support, the 'any'-count product law, and a witnessed
@@ -569,12 +561,7 @@ def suite_factorization(grid=PAIR_GRID, qs=(2, 3)):
             a, b = F.from_int(0), F.from_int(1)
             std = standard_lattice(m, F)
             # all endpoints of chains marked at the two points (any mix)
-            endpoints = set()
-            for types in _compositions(m * k, m - 1):
-                for pts in product((a, b), repeat=len(types)):
-                    query = FiberQuery(m, k, types, pts, F, "any")
-                    for chain in count_chain_fiber(query, witnesses=True).witnesses:
-                        endpoints.add(chain.end)
+            endpoints = _chain_ends(m, k, F, (a, b))
             bad = 0
             for L in endpoints:
                 L1, L2 = factorize(L, {a}, {b})
@@ -590,7 +577,7 @@ def suite_factorization(grid=PAIR_GRID, qs=(2, 3)):
                 _case({"m": m, "k": k, "q": q, "lattices": len(endpoints)}, 0, bad)
             )
             # 'any' count product law over a split configuration
-            types = _default_types(m, k)
+            types = (1,) * (m * k)
             half = len(types) // 2
             pts = (a,) * half + (b,) * (len(types) - half)
             whole = count_chain_fiber(FiberQuery(m, k, types, pts, F, "any")).count
@@ -608,8 +595,6 @@ def suite_factorization(grid=PAIR_GRID, qs=(2, 3)):
                 )
             )
     # the trivial locus does not factor: witnessed counterexample
-    from .fields import GF
-
     F = GF(2)
     a, b = 0, 1
     pts = (a, a, b, b)
@@ -636,7 +621,7 @@ def suite_product_fibre(grid=DEFAULT_GRID, qs=(2, 3)):
     for m, k, types in grid:
         for q in qs:
             F = GF(q)
-            configs = _point_configs(F, len(types), distinct_only=True)
+            configs = _point_configs(F, len(types))
             for pts in configs:
                 query = FiberQuery(m, k, types, pts, F, "any")
                 actual = count_chain_fiber(query).count
@@ -673,20 +658,11 @@ def suite_central_leading(m=2, types=(1, 1, 1, 1), qs=(2, 3, 5), held_out=None):
         raise ValueError("types must satisfy the root-lattice condition")
     k = w.total // m
     samples = []
-    for q in qs:
+    for q in tuple(qs) + ((held_out,) if held_out else ()):
         F = GF(q)
-        pts = (F.zero,) * len(types)
-        query = FiberQuery(m, k, types, pts, F, "exact-zk")
+        query = FiberQuery(m, k, types, (F.zero,) * len(types), F, "exact-zk")
         samples.append((q, count_chain_fiber(query).count))
-    if held_out:
-        F = GF(held_out)
-        pts = (F.zero,) * len(types)
-        samples.append(
-            (held_out, count_chain_fiber(FiberQuery(m, k, types, pts, F, "exact-zk")).count)
-        )
-        fit = fit_q_polynomial(samples, degree=len(samples) - 2)
-    else:
-        fit = fit_q_polynomial(samples)
+    fit = fit_q_polynomial(samples, degree=len(qs) - 1 if held_out else None)
     cases = [
         _case({"samples": samples, "check": "integer fit"}, True, fit.success)
     ]

@@ -205,7 +205,7 @@ def divisor_of_pair(outer, inner):
 
 def lattice_sum(L1, L2):
     _check_pair(L1, L2)
-    return Lattice(L1.field, hermite_basis(L1.basis.hstack(L2.basis)))
+    return Lattice(L1.field, L1.basis.hstack(L2.basis))
 
 
 def intersect(L1, L2):

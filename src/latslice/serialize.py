@@ -93,6 +93,8 @@ def parse_chain(data, where="chain"):
     if not isinstance(m, int) or m < 1:
         raise PayloadError(f"{where}.m: expected a positive integer")
     field = parse_field(data["field"], f"{where}.field")
+    if not isinstance(data["points"], list):
+        raise PayloadError(f"{where}.points: expected a list of field elements")
     points = [parse_point(field, x, f"{where}.points[{i}]") for i, x in enumerate(data["points"])]
     types = data["types"]
     if not isinstance(types, list) or not all(isinstance(t, int) for t in types):
@@ -158,6 +160,8 @@ def parse_slice_point(data, where="slice"):
                 raise PayloadError(f"{where}.flag[{i}][{j}]: expected a length-{N} vector")
             cols.append([parse_point(field, e, f"{where}.flag[{i}][{j}][{t}]") for t, e in enumerate(col)])
         subspaces.append(cols)
+    if not isinstance(data["eigenvalues"], list):
+        raise PayloadError(f"{where}.eigenvalues: expected a list of field elements")
     eigenvalues = [
         parse_point(field, x, f"{where}.eigenvalues[{i}]")
         for i, x in enumerate(data["eigenvalues"])
@@ -178,3 +182,19 @@ def slice_point_to_json(p):
         ],
         "eigenvalues": [_element_to_json(F, x) for x in p.eigenvalues],
     }
+
+
+def parse_fit(data, where="payload"):
+    """(samples, degree) of a fit request: a list of [q, count] integer pairs
+    and an optional nonnegative integer degree (None when absent)."""
+    _require_keys(data, ("samples",), optional=("degree",), where=where)
+    samples = data["samples"]
+    if not isinstance(samples, list) or not all(
+        isinstance(s, list) and len(s) == 2 and all(isinstance(v, int) for v in s)
+        for s in samples
+    ):
+        raise PayloadError(f"{where}.samples: expected a list of [q, count] integer pairs")
+    degree = data.get("degree")
+    if degree is not None and not (isinstance(degree, int) and degree >= 0):
+        raise PayloadError(f"{where}.degree: expected a nonnegative integer")
+    return [tuple(s) for s in samples], degree

@@ -119,14 +119,21 @@ def test_criterion_5_triviality_agreement(capsys):
     """Monomial-basis test agrees with constant splitting type on every
     reachable chain endpoint."""
     out = suite_triviality_agree(grid=((2, 1), (2, 2), (3, 1)), qs=(2, 3))
-    report(capsys, 5, "triviality two-algorithm agreement on all chain endpoints", out["pass"])
+    # the chain ends over every type sequence and every point of F_q
+    ok = out["pass"] and [c["params"]["endpoints"] for c in out["cases"]] == [
+        23, 87, 201, 2454, 800, 15967,
+    ]
+    report(capsys, 5, "triviality two-algorithm agreement on all chain endpoints", ok)
 
 
 def test_criterion_6_factorization(capsys):
     """Two-point factorization reconstructs, splits divisors, multiplies
     'any' counts, and visibly fails to multiply 'trivial' counts."""
     out = suite_factorization(grid=((2, 1), (2, 2), (3, 1)), qs=(2, 3))
-    report(capsys, 6, "two-point factorization laws + trivial-count non-factoring witness", out["pass"])
+    # the chain ends over every type sequence with points in {0, 1}
+    lattices = [c["params"]["lattices"] for c in out["cases"] if "lattices" in c["params"]]
+    ok = out["pass"] and lattices == [23, 42, 201, 731, 800, 5800]
+    report(capsys, 6, "two-point factorization laws + trivial-count non-factoring witness", ok)
 
 
 def test_criterion_7_rep_anchors(capsys):

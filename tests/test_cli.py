@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from latslice import cli
 from test_exactalg import time_limit
 
@@ -33,6 +35,17 @@ CHAIN = json.dumps(
     }
 )
 
+# the slice point of CHAIN, as `chain to-slice` prints it
+POINT = json.dumps(
+    {
+        "field": "Fp:3",
+        "m": 2,
+        "k": 1,
+        "Y": [[0, 0], [0, 1]],
+        "flag": [[[0, 1]], [[1, 0], [0, 1]]],
+        "eigenvalues": [0, 1],
+    }
+)
 
 class TestLattice:
     def test_hecke_type(self):
@@ -88,6 +101,22 @@ class TestChainSlice:
         proc = run("chain", "validate", '{"m": 2}')
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chain", "validate", json.dumps(dict(json.loads(CHAIN), points=5))],
+            ["slice", "validate", json.dumps(dict(json.loads(POINT), eigenvalues=7))],
+            ["count", "fit", json.dumps({"samples": 5})],
+            ["count", "fit", json.dumps({"samples": [[2]]})],
+            ["count", "fit", json.dumps({"samples": [[2, 3], [3, 4]], "degree": "x"})],
+        ],
+        ids=["chain-points", "slice-eigenvalues", "fit-samples", "fit-pair", "fit-degree"],
+    )
+    def test_malformed_field_exit_2(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestRep:

@@ -11,6 +11,7 @@ from latslice.lattice import standard_lattice
 from latslice.countlab import (
     END_CONDITIONS,
     FiberQuery,
+    _chain_ends,
     count_chain_fiber,
     count_slice_fiber,
     fit_q_polynomial,
@@ -121,6 +122,24 @@ def _small_types(m, k, p, max_chains=1000):
             if sum(types) == m * k and chains <= max_chains:
                 out.append(types)
     return out
+
+
+class TestChainEnds:
+    @pytest.mark.parametrize("m,k,q", [(2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2)])
+    def test_union_of_dfs_chain_ends(self, m, k, q):
+        # every type sequence summing to m*k and every tuple of the points
+        F = GF(q)
+        for points in {tuple(F.elements()), (0, 1)}:
+            expected = set()
+            for n in range(1, m * k + 1):
+                for types in itertools.product(range(1, m), repeat=n):
+                    if sum(types) != m * k:
+                        continue
+                    for pts in itertools.product(points, repeat=n):
+                        query = FiberQuery(m, k, types, pts, F, "any")
+                        _, chains = oracles.dfs_chain_fiber(query, witnesses=True)
+                        expected.update(chain.end for chain in chains)
+            assert _chain_ends(m, k, F, points) == expected, points
 
 
 class TestSliceCount:
