@@ -5,6 +5,7 @@ Exit codes: 0 success/pass, 1 validation or suite failure, 2 malformed input.
 """
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -47,7 +48,11 @@ def _parse_ints(text):
     return [int(p.strip(), 10) for p in text.split(",") if p.strip()]
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it
+    (callers must not modify it); each parse_args call returns a fresh
+    Namespace."""
     parser = argparse.ArgumentParser(
         prog="latslice",
         description="Exact lattice models of line-bundle modifications and the slice correspondence",

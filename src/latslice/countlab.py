@@ -1,16 +1,22 @@
 """Finite-field enumeration of fibers in both models, exact polynomial-in-q
 fitting, and the cross-model verification suites."""
 
+import random
 import time
 from fractions import Fraction
 from itertools import permutations, product
 
 from . import linalg
+from .fields import GF, QQ
 from .lattice import (
     Lattice,
     LatticeChain,
     contains,
+    divisor_of_pair,
+    factorize,
+    intersect,
     quotient_basis_trivial,
+    splitting_type,
     standard_lattice,
 )
 from .poly import Poly
@@ -380,8 +386,6 @@ def _point_configs(field, n):
 def suite_counts_equal(grid=DEFAULT_GRID, qs=(2, 3)):
     """Cross-model equality: trivial chain count = slice count (the bijection
     at the level of F_q points), per configuration."""
-    from .fields import GF
-
     cases = []
     for m, k, types in grid:
         for q in qs:
@@ -421,10 +425,6 @@ ROUNDTRIP_SEED = 20240229
 def suite_roundtrip(grid=DEFAULT_GRID, qs=(2, 3), randoms=200):
     """Both roundtrip identities on every trivial-locus witness enumerated
     over distinct-point configurations, plus random chains over F_5 and Q."""
-    import random
-
-    from .fields import GF, QQ
-
     cases = []
     for m, k, types in grid:
         for q in qs:
@@ -523,9 +523,6 @@ def _random_trivial_chain(rng, m, k, types, field):
 def suite_triviality_agree(grid=PAIR_GRID, qs=(2, 3)):
     """Two independent algorithms for the triviality condition must agree on
     every chain endpoint: monomial quotient basis <-> constant splitting."""
-    from .fields import GF
-    from .lattice import splitting_type
-
     cases = []
     for m, k in grid:
         for q in qs:
@@ -551,9 +548,6 @@ def suite_factorization(grid=PAIR_GRID, qs=(2, 3)):
     """Factorization over two disjoint points: reconstruction by intersection,
     Hecke types split by support, the 'any'-count product law, and a witnessed
     failure of the product law for 'trivial' counts."""
-    from .fields import GF
-    from .lattice import divisor_of_pair, factorize, intersect
-
     cases = []
     for m, k in grid:
         for q in qs:
@@ -615,8 +609,6 @@ def suite_factorization(grid=PAIR_GRID, qs=(2, 3)):
 def suite_product_fibre(grid=DEFAULT_GRID, qs=(2, 3)):
     """Regular-fibre product law: the 'any' count over distinct points is the
     product of Gaussian binomials."""
-    from .fields import GF
-
     cases = []
     for m, k, types in grid:
         for q in qs:
@@ -651,8 +643,6 @@ def suite_central_leading(m=2, types=(1, 1, 1, 1), qs=(2, 3, 5), held_out=None):
     """Central-fibre law: exact-z^k counts over the all-zero configuration fit
     a polynomial in q whose degree is half the fibre dimension and whose
     leading coefficient is the invariant dimension."""
-    from .fields import GF
-
     w = WeightSeq(m, types)
     if w.total % m:
         raise ValueError("types must satisfy the root-lattice condition")

@@ -6,6 +6,8 @@ Lattices are stored by their canonical Hermite basis, so equality is
 structural and independent of the presenting generators.
 """
 
+from math import prod
+
 from . import linalg
 from .poly import Poly, linear_roots
 from .polymatrix import (
@@ -271,19 +273,22 @@ def factorize(L, S1, S2):
     L^(i) = L + f_i^c * standard, where f_i is the monic product of (z - x)
     over S_i and c the total colength; the divisor of L^(i) is the divisor of
     L restricted to S_i and the two factors intersect back to L.
+
+    The divisor's support lies in S1 | S2 exactly when d = det(basis(L)),
+    the product of the monic Hermite diagonal (of degree c), divides
+    f1 * f2, so no root search or Smith form is needed.
     """
     S1, S2 = set(S1), set(S2)
     if S1 & S2:
         raise ValueError("point sets must be disjoint")
     F = L.field
-    std = standard_lattice(L.m, F)
-    div = divisor_of_pair(std, L)
-    if not div.support() <= (S1 | S2):
+    c = _diagonal_degree(L)
+    f1, f2 = (Poly.from_roots(F, sorted(S, key=_point_key)) ** c for S in (S1, S2))
+    d = prod((L.basis.entry(i, i) for i in range(L.m)), start=Poly.one(F))
+    if not (f1 * f2 % d).is_zero:
         raise ValueError("divisor support not covered by the point sets")
-    c = colength(std, L)
     out = []
-    for S in (S1, S2):
-        f = Poly.from_roots(F, sorted(S, key=_point_key)) ** c
+    for f in (f1, f2):
         scaled = PolyMatrix.identity(F, L.m).scale_poly(f)
         out.append(lattice_sum(L, Lattice(F, scaled)))
     return out[0], out[1]

@@ -4,6 +4,8 @@ Coefficients are stored ascending; the zero polynomial is the empty tuple and
 has degree NEG_INF (the documented sentinel for -infinity).
 """
 
+from math import lcm
+
 from .fields import Field
 
 NEG_INF = float("-inf")
@@ -227,8 +229,6 @@ def linear_roots(p):
     # rational roots r = c/d with c | constant term, d | leading coefficient,
     # after clearing denominators to an integer polynomial
     while p.degree >= 1:
-        from math import lcm
-
         den = lcm(*(c.denominator for c in p.coeffs))
         ints = [int(c * den) for c in p.coeffs]
         lead = ints[-1]

@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, payload channels, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from latslice import cli
+from latslice import cli, serialize
+from latslice.lattice import hecke_type_at, standard_lattice
 from test_exactalg import time_limit
 
 
@@ -70,6 +72,61 @@ class TestLattice:
         assert proc.returncode == 0
         out = json.loads(proc.stdout)
         assert len(out["factors"]) == 2
+
+    def test_factorize_huge_root_needs_no_root_search(self, capsys):
+        # span((z - r) e1, e2) over Q: a rational root search of z - r by
+        # trial division over the divisors of r does not finish
+        r = 10**30 + 39
+        payload = json.dumps({"field": "Q", "m": 2, "basis": [[[-r, 1], [0]], [[0], [1]]]})
+        with time_limit(10):
+            assert cli.main(["lattice", "factorize", payload, "--s1", str(r), "--s2", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["factors"]) == 2
+        with time_limit(10):
+            assert cli.main(["lattice", "factorize", payload, "--s1", "0", "--s2", "1"]) == 1
+        assert "divisor support not covered by the point sets" in capsys.readouterr().err
+
+
+class TestReusedParser:
+    """cli.main called repeatedly in one process, as a library caller does."""
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert cli.main(["lattice", "trivial", LAT]) == 2  # --k is required
+        capsys.readouterr()
+        assert cli.main(["lattice", "trivial", LAT, "--k", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"trivial": True}
+
+    def test_hecke_type_at_two_points(self, capsys):
+        L = serialize.parse_lattice(json.loads(LAT))
+        std = standard_lattice(L.m, L.field)
+        for x in ("0", "1"):
+            assert cli.main(["lattice", "hecke-type", LAT, "--x", x]) == 0
+            want = hecke_type_at(std, L, L.field.parse(x)).entries
+            assert json.loads(capsys.readouterr().out)["hecke_type"] == list(want)
+
+    def test_out_does_not_leak(self, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        argv = ["lattice", "splitting-type", LAT]
+        assert cli.main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        written = json.loads(target.read_text())
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == written
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["lattice", "trivial", LAT, "--k", "1"]
+        assert cli.main(argv) == 0
+        one = len(built)
+        for _ in range(5):
+            assert cli.main(argv) == 0
+        assert len(built) - one <= one
 
 
 class TestChainSlice:

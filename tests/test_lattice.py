@@ -252,6 +252,49 @@ class TestFactorize:
         assert divisor_of_pair(std, L1) == div.restrict(S1)
         assert divisor_of_pair(std, L2) == div.restrict(S2)
 
+    @pytest.mark.parametrize("F", [GF(3), QQ], ids=["F3", "Q"])
+    def test_support_outside_the_point_sets(self, F):
+        L = lat(F, [[(0, 1), (0,)], [(0,), (-2, 1)]])  # z e1, (z-2) e2
+        with pytest.raises(ValueError, match="divisor support not covered by the point sets"):
+            factorize(L, {F.zero}, {F.one})
+
+    @pytest.mark.parametrize(
+        "F, coeffs", [(QQ, (-2, 0, 1)), (GF(3), (1, 0, 1))], ids=["Q", "F3"]
+    )
+    def test_rootless_determinant(self, F, coeffs):
+        L = lat(F, [[coeffs, (0,)], [(0,), (1,)]])  # z^2-2 over Q, z^2+1 over F_3
+        with pytest.raises(ValueError, match="divisor support not covered by the point sets"):
+            factorize(L, {F.zero}, {F.one})
+
+    @pytest.mark.parametrize("F, m, colength", [(GF(3), 2, 4), (QQ, 3, 9)], ids=["F3", "Q"])
+    def test_seeded_lattices_without_root_search(self, monkeypatch, F, m, colength):
+        """Lattices of the benchmark's lattice-ops shapes, supported at
+        {0, 1}; factorize runs with no determinant, Smith form or root
+        search."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factorize needs no det, Smith form or root search")
+
+        rng = random.Random(37)
+        std = standard_lattice(m, F)
+        a, b = F.zero, F.one
+        for i in range(colength + 1):
+            L = std
+            for x, c in ((a, i), (b, colength - i)):
+                while c:
+                    j = min(m - 1, c)
+                    L = _random_step(rng, L, x, j)
+                    c -= j
+            with monkeypatch.context() as mp:
+                for name in ("det", "smith_normal_form", "linear_roots"):
+                    mp.setattr(f"latslice.lattice.{name}", forbidden)
+                L1, L2 = factorize(L, {a}, {b})
+            div = divisor_of_pair(std, L)
+            assert div.total == colength
+            assert intersect(L1, L2) == L
+            assert divisor_of_pair(std, L1) == div.restrict({a})
+            assert divisor_of_pair(std, L2) == div.restrict({b})
+
 
 class TestChains:
     def chain(self, F):
