@@ -124,9 +124,8 @@ def build_parser():
 
 
 def _lattice_command(args):
-    data = _read_payload(args.payload)
+    L = serialize.parse_lattice(_read_payload(args.payload))
     if args.subcommand == "factorize":
-        L = serialize.parse_lattice(data)
         s1 = _parse_points(L.field, args.s1)
         s2 = _parse_points(L.field, args.s2)
         L1, L2 = lat.factorize(L, s1, s2)
@@ -134,28 +133,24 @@ def _lattice_command(args):
             "factors": [serialize.lattice_to_json(L1), serialize.lattice_to_json(L2)]
         }
     if args.subcommand == "hecke-type":
-        L = serialize.parse_lattice(data)
         x = L.field.parse(args.x)
         std = lat.standard_lattice(L.m, L.field)
         t = lat.hecke_type_at(std, L, x)
         return 0, {"hecke_type": list(t.entries)}
     if args.subcommand == "divisor":
-        L = serialize.parse_lattice(data)
         std = lat.standard_lattice(L.m, L.field)
         div = lat.divisor_of_pair(std, L)
         return 0, {
             "divisor": [
-                {"point": serialize._element_to_json(L.field, x), "type": list(t.entries)}
+                {"point": L.field.to_json(x), "type": list(t.entries)}
                 for x, t in sorted(
                     div.assignments.items(), key=lambda kv: str(kv[0])
                 )
             ]
         }
     if args.subcommand == "splitting-type":
-        L = serialize.parse_lattice(data)
         return 0, {"splitting_type": list(lat.splitting_type(L))}
     if args.subcommand == "trivial":
-        L = serialize.parse_lattice(data)
         return 0, {"trivial": lat.quotient_basis_trivial(L, args.k)}
     raise AssertionError(args.subcommand)
 

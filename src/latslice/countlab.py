@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 from . import linalg
 from .fields import GF, QQ
@@ -205,6 +206,12 @@ def enumerate_slice_matrices(m, k, field):
         )
 
 
+def _char_polys(m, k, field):
+    """(Y, characteristic polynomial of Y) for every matrix in the slice."""
+    for Y in enumerate_slice_matrices(m, k, field):
+        yield Y, linalg.char_poly(field, Y.entries)
+
+
 def _stable_flags(Y, points, types):
     """All flags W_1 < ... < W_n compatible with the slice matrix Y: Y-stable
     steps, scalar x_(n-i+1) and jump pi_(n-i+1) on W_i/W_(i-1)."""
@@ -266,11 +273,7 @@ def count_slice_fiber(query, witnesses=False):
     t0 = time.perf_counter()
     F = query.field
     target = target_poly(F, query.points, query.types.entries)
-    matrices = (
-        Y
-        for Y in enumerate_slice_matrices(query.m, query.k, F)
-        if linalg.char_poly(F, Y.entries) == target
-    )
+    matrices = (Y for Y, cp in _char_polys(query.m, query.k, F) if cp == target)
     count = 0
     found = [] if witnesses else None
     for Y, flags in _slice_fiber(query, matrices):
@@ -327,21 +330,13 @@ def fit_q_polynomial(samples, degree=None):
     qs = [q for q, _ in fit_pts]
     if len(set(qs)) != len(qs):
         raise ValueError("sample q values must be distinct")
-    n = len(fit_pts)
-    coeffs = [Fraction(0)] * n
+    fit = Poly.zero(QQ)
     for qi, ci in fit_pts:
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for qj, _ in fit_pts:
-            if qj == qi:
-                continue
-            num = _poly_mul_q(num, [Fraction(-qj), Fraction(1)])
-            den *= Fraction(qi - qj)
-        scale = Fraction(ci) / den
-        for t, c in enumerate(num):
-            coeffs[t] += scale * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
+        basis = Poly.from_roots(QQ, [QQ.from_int(qj) for qj, _ in fit_pts if qj != qi])
+        fit = fit + basis.scale(QQ.div(QQ.from_int(ci), basis.eval(QQ.from_int(qi))))
+    coeffs = fit.coeffs
+    if not coeffs and fit_pts:
+        coeffs = (QQ.zero,)  # all-zero samples fit as [0]; no samples fit as []
     if any(c.denominator != 1 or c < 0 for c in coeffs):
         return FitResult(False, reason="coefficients are not nonnegative integers")
     ints = [int(c) for c in coeffs]
@@ -350,14 +345,6 @@ def fit_q_polynomial(samples, degree=None):
         if res.eval(q) != c:
             return FitResult(False, reason=f"held-out sample at q={q} mismatches")
     return res
-
-
-def _poly_mul_q(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,45 +365,49 @@ def _case(params, expected, actual):
     }
 
 
-def _point_configs(field, n):
-    """Every configuration of n distinct points of the finite field."""
-    return list(permutations(field.elements(), n))
+def _configurations(grid, qs, end):
+    """(m, k, types, field, queries) for each grid entry and q, with one
+    query per configuration of distinct points of F_q."""
+    for m, k, types in grid:
+        for q in qs:
+            F = GF(q)
+            queries = [
+                FiberQuery(m, k, types, pts, F, end)
+                for pts in permutations(F.elements(), len(types))
+            ]
+            yield m, k, types, F, queries
+
+
+def _params(query, **extra):
+    """The params of a case that checks one query."""
+    return {
+        "m": query.m,
+        "k": query.k,
+        "types": list(query.types.entries),
+        "points": list(query.points),
+        "q": query.field.p,
+        **extra,
+    }
 
 
 def suite_counts_equal(grid=DEFAULT_GRID, qs=(2, 3)):
     """Cross-model equality: trivial chain count = slice count (the bijection
-    at the level of F_q points), per configuration."""
+    at the level of F_q points), per configuration.  Each slice space is
+    enumerated once, the first time a configuration needs it, and its
+    matrices are bucketed by characteristic polynomial."""
     cases = []
-    for m, k, types in grid:
-        for q in qs:
-            slice_cache = _slice_counts_by_eigenvalues(m, k, GF(q))
-            for pts in _point_configs(GF(q), len(types)):
-                query = FiberQuery(m, k, types, pts, GF(q), "trivial")
-                chain_count = count_chain_fiber(query).count
-                slice_count = _slice_fiber_count_cached(query, slice_cache)
-                cases.append(
-                    _case(
-                        {"m": m, "k": k, "types": list(types), "points": list(pts), "q": q},
-                        chain_count,
-                        slice_count,
-                    )
-                )
+    buckets = {}  # (m, k, field) -> {char poly: slice matrices}
+    for m, k, _, F, queries in _configurations(grid, qs, "trivial"):
+        for query in queries:
+            if (m, k, F) not in buckets:
+                by_poly = buckets[m, k, F] = {}
+                for Y, cp in _char_polys(m, k, F):
+                    by_poly.setdefault(cp, []).append(Y)
+            target = target_poly(F, query.points, query.types.entries)
+            matrices = buckets[m, k, F].get(target, ())
+            slice_count = sum(1 for _ in _slice_fiber(query, matrices))
+            cases.append(_case(_params(query), count_chain_fiber(query).count, slice_count))
     return _suite_report("counts-equal", cases)
-
-
-def _slice_counts_by_eigenvalues(m, k, field):
-    """Bucket slice matrices by characteristic polynomial roots, computed
-    once per (m, k, q)."""
-    buckets = {}
-    for Y in enumerate_slice_matrices(m, k, field):
-        cp = linalg.char_poly(field, Y.entries)
-        buckets.setdefault(cp, []).append(Y)
-    return buckets
-
-
-def _slice_fiber_count_cached(query, buckets):
-    target = target_poly(query.field, query.points, query.types.entries)
-    return sum(1 for _ in _slice_fiber(query, buckets.get(target, ())))
 
 
 ROUNDTRIP_SEED = 20240229
@@ -426,32 +417,16 @@ def suite_roundtrip(grid=DEFAULT_GRID, qs=(2, 3), randoms=200):
     """Both roundtrip identities on every trivial-locus witness enumerated
     over distinct-point configurations, plus random chains over F_5 and Q."""
     cases = []
-    for m, k, types in grid:
-        for q in qs:
-            F = GF(q)
-            for pts in _point_configs(F, len(types)):
-                query = FiberQuery(m, k, types, pts, F, "trivial")
-                report = count_chain_fiber(query, witnesses=True)
-                bad = 0
-                for chain in report.witnesses:
-                    p = chain_to_slice(chain)
-                    back = slice_to_chain(p)
-                    if back != chain or chain_to_slice(back) != p:
-                        bad += 1
-                cases.append(
-                    _case(
-                        {
-                            "m": m,
-                            "k": k,
-                            "types": list(types),
-                            "points": list(pts),
-                            "q": q,
-                            "witnesses": report.count,
-                        },
-                        0,
-                        bad,
-                    )
-                )
+    for *_, queries in _configurations(grid, qs, "trivial"):
+        for query in queries:
+            report = count_chain_fiber(query, witnesses=True)
+            bad = 0
+            for chain in report.witnesses:
+                p = chain_to_slice(chain)
+                back = slice_to_chain(p)
+                if back != chain or chain_to_slice(back) != p:
+                    bad += 1
+            cases.append(_case(_params(query, witnesses=report.count), 0, bad))
     rng = random.Random(ROUNDTRIP_SEED)
     for m, k, types in grid:
         for field in (GF(5), QQ):
@@ -610,32 +585,18 @@ def suite_product_fibre(grid=DEFAULT_GRID, qs=(2, 3)):
     """Regular-fibre product law: the 'any' count over distinct points is the
     product of Gaussian binomials."""
     cases = []
-    for m, k, types in grid:
-        for q in qs:
-            F = GF(q)
-            configs = _point_configs(F, len(types))
-            for pts in configs:
-                query = FiberQuery(m, k, types, pts, F, "any")
-                actual = count_chain_fiber(query).count
-                expected = 1
-                for j in types:
-                    expected *= gaussian_binomial(m, j, q)
-                cases.append(
-                    _case(
-                        {"m": m, "k": k, "types": list(types), "points": list(pts), "q": q},
-                        expected,
-                        actual,
-                    )
+    for m, k, types, F, queries in _configurations(grid, qs, "any"):
+        expected = prod(gaussian_binomial(m, j, F.p) for j in types)
+        for query in queries:
+            cases.append(_case(_params(query), expected, count_chain_fiber(query).count))
+        if not queries:
+            cases.append(
+                _case(
+                    {"m": m, "k": k, "q": F.p, "note": "no distinct configurations at this q"},
+                    0,
+                    0,
                 )
-            if not configs:
-                cases.append(
-                    _case(
-                        {"m": m, "k": k, "q": q,
-                         "note": "no distinct configurations at this q"},
-                        0,
-                        0,
-                    )
-                )
+            )
     return _suite_report("product-fibre", cases)
 
 

@@ -82,6 +82,13 @@ class Field:
             return str(a % self.p)
         return str(a)
 
+    def to_json(self, a):
+        """JSON data for an element, inverse to `parse`: an int, or 'p/q' for
+        a non-integral rational."""
+        if self.p is not None or a.denominator == 1:
+            return int(a)
+        return str(a)
+
     def parse(self, s):
         """Parse a field element from JSON data: an int, or 'p/q' over Q."""
         if isinstance(s, bool):

@@ -64,9 +64,6 @@ class ColouredDivisor:
     def total(self):
         return sum(t.total for t in self.assignments.values())
 
-    def support(self):
-        return set(self.assignments)
-
     def restrict(self, points):
         return ColouredDivisor({x: t for x, t in self.assignments.items() if x in points})
 
@@ -172,37 +169,37 @@ def colength(outer, inner):
     return _diagonal_degree(inner) - _diagonal_degree(outer)
 
 
-def hecke_type_at(outer, inner, x):
-    """(z-x)-adic valuations of the Smith divisors of the transition matrix,
-    sorted weakly decreasing: the GL_m Hecke type of the modification at x."""
+def _smith_divisors(outer, inner):
+    """The transition matrix of the pair and the diagonal of its Smith form."""
     T = transition_matrix(outer, inner)
     if T is None:
         raise ValueError("inner is not contained in outer")
     _, D, _ = smith_normal_form(T)
-    vals = [D.entry(i, i).valuation_at(x) for i in range(T.rows)]
-    return HeckeType(sorted(vals, reverse=True))
+    return T, [D.entry(i, i) for i in range(T.rows)]
+
+
+def _type_at(divisors, x):
+    """The (z-x)-adic valuations of the Smith divisors, weakly decreasing."""
+    return HeckeType(sorted((p.valuation_at(x) for p in divisors), reverse=True))
+
+
+def hecke_type_at(outer, inner, x):
+    """(z-x)-adic valuations of the Smith divisors of the transition matrix,
+    sorted weakly decreasing: the GL_m Hecke type of the modification at x."""
+    return _type_at(_smith_divisors(outer, inner)[1], x)
 
 
 def divisor_of_pair(outer, inner):
     """The coloured divisor of the pair: x -> hecke_type_at(outer, inner, x)
     over all roots of det(transition).  Over Q an irreducible nonlinear
     residual factor is an error (no field extensions)."""
-    T = transition_matrix(outer, inner)
-    if T is None:
-        raise ValueError("inner is not contained in outer")
-    d = det(T)
-    roots, residual = linear_roots(d)
+    T, divisors = _smith_divisors(outer, inner)
+    roots, residual = linear_roots(det(T))
     if residual.degree >= 1:
         raise ValueError(
             f"determinant has a rootless factor over the base field: {residual!r}"
         )
-    _, D, _ = smith_normal_form(T)
-    divisors = [D.entry(i, i) for i in range(T.rows)]
-    assignments = {}
-    for x in roots:
-        vals = sorted((p.valuation_at(x) for p in divisors), reverse=True)
-        assignments[x] = HeckeType(vals)
-    return ColouredDivisor(assignments)
+    return ColouredDivisor({x: _type_at(divisors, x) for x in roots})
 
 
 def lattice_sum(L1, L2):

@@ -40,10 +40,6 @@ class Poly:
         return Poly(field, (field.zero,) * n + (c,))
 
     @staticmethod
-    def from_ints(field, ints):
-        return Poly(field, [field.from_int(c) for c in ints])
-
-    @staticmethod
     def from_roots(field, roots):
         """prod (z - r) over the given roots (with multiplicity)."""
         p = Poly.one(field)
@@ -178,13 +174,7 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def to_list(self):
-        out = []
-        for c in self.coeffs:
-            if self.field.p is not None or c.denominator == 1:
-                out.append(int(c))
-            else:
-                out.append(str(c))
-        return out
+        return [self.field.to_json(c) for c in self.coeffs]
 
     def __repr__(self):
         if self.is_zero:

@@ -16,14 +16,6 @@ class Partition:
             raise ValueError("parts must be nonnegative")
         self.parts = parts
 
-    @property
-    def size(self):
-        return sum(self.parts)
-
-    @property
-    def nrows(self):
-        return len(self.parts)
-
     def part(self, i):
         return self.parts[i] if i < len(self.parts) else 0
 

@@ -118,16 +118,10 @@ def chain_to_json(chain):
     return {
         "m": chain.m,
         "field": chain.field.code,
-        "points": [_element_to_json(chain.field, x) for x in chain.points],
+        "points": [chain.field.to_json(x) for x in chain.points],
         "types": list(chain.types),
         "lattices": [basis_to_json(L.basis) for L in chain.lattices],
     }
-
-
-def _element_to_json(field, x):
-    if field.p is not None:
-        return int(x)
-    return int(x) if x.denominator == 1 else str(x)
 
 
 def parse_slice_point(data, where="slice"):
@@ -175,12 +169,12 @@ def slice_point_to_json(p):
         "m": p.Y.m,
         "k": p.Y.k,
         "field": F.code,
-        "Y": [[_element_to_json(F, e) for e in row] for row in p.Y.entries],
+        "Y": [[F.to_json(e) for e in row] for row in p.Y.entries],
         "flag": [
-            [[_element_to_json(F, e) for e in col] for col in W]
+            [[F.to_json(e) for e in col] for col in W]
             for W in p.flag.subspaces
         ],
-        "eigenvalues": [_element_to_json(F, x) for x in p.eigenvalues],
+        "eigenvalues": [F.to_json(x) for x in p.eigenvalues],
     }
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from latslice.fields import GF, QQ
 from latslice.lattice import standard_lattice
+from latslice import countlab
 from latslice.countlab import (
     END_CONDITIONS,
     FiberQuery,
@@ -17,6 +18,7 @@ from latslice.countlab import (
     fit_q_polynomial,
     step_choices,
     suite_central_leading,
+    suite_counts_equal,
     suite_product_fibre,
     verify_suite,
 )
@@ -177,8 +179,49 @@ class TestFit:
         fit = fit_q_polynomial([(2, 4), (3, 8), (4, 16), (5, 32)], degree=2)
         assert not fit.success
 
+    def test_matches_sympy_interpolation(self):
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+        rng = random.Random(20261018)
+        for degree in range(5):
+            for _ in range(4):
+                coeffs = [rng.randint(0, 9) for _ in range(degree + 1)]
+                qs = rng.sample(range(2, 40), degree + 1)
+                samples = [(x, sum(c * x**i for i, c in enumerate(coeffs))) for x in qs]
+                want = sympy.Poly(sympy.interpolate(samples, q), q).all_coeffs()[::-1]
+                fit = fit_q_polynomial(samples)
+                assert fit.success
+                assert fit.coefficients == [int(c) for c in want], samples
+
+    def test_all_zero_samples(self):
+        fit = fit_q_polynomial([(2, 0), (3, 0), (5, 0)])
+        assert fit.success and fit.coefficients == [0] and fit.degree == 0
+        assert fit_q_polynomial([(2, 0), (3, 0), (5, 0)], degree=1).coefficients == [0]
+        assert fit_q_polynomial([]).coefficients == []
+
 
 class TestSuites:
+    def test_counts_equal_enumerates_each_slice_space_once(self, monkeypatch):
+        # (2,2,1^4) has no distinct configurations at q=2, and both (3,1)
+        # entries share one slice space
+        calls = []
+        enumerate_all = countlab.enumerate_slice_matrices
+
+        def counted(m, k, field):
+            calls.append((m, k, field.p))
+            return enumerate_all(m, k, field)
+
+        monkeypatch.setattr(countlab, "enumerate_slice_matrices", counted)
+        grid = ((2, 2, (1, 1, 1, 1)), (3, 1, (1, 2)), (3, 1, (2, 1)))
+        report = suite_counts_equal(grid=grid, qs=(2,))
+        assert calls == [(3, 1, 2)]
+        assert report["pass"] and len(report["cases"]) == 4
+        monkeypatch.undo()
+        for case in report["cases"]:
+            p = case["params"]
+            query = FiberQuery(p["m"], p["k"], p["types"], p["points"], GF(p["q"]), "trivial")
+            assert case["actual"] == count_slice_fiber(query).count, p
+
     def test_product_fibre(self):
         report = suite_product_fibre(grid=((3, 1, (1, 2)),), qs=(2,))
         assert report["pass"]
