@@ -12,13 +12,13 @@ from .fields import GF, QQ
 from .lattice import (
     Lattice,
     LatticeChain,
-    contains,
     divisor_of_pair,
     factorize,
     intersect,
     quotient_basis_trivial,
     splitting_type,
     standard_lattice,
+    transition_matrix,
 )
 from .poly import Poly
 from .polymatrix import PolyMatrix
@@ -72,7 +72,7 @@ class FiberQuery:
             "m": self.m,
             "k": self.k,
             "types": list(self.types.entries),
-            "points": [self.field.format(x) for x in self.points],
+            "points": [self.field.to_json(x) for x in self.points],
             "field": self.field.code,
             "end": self.end_condition,
         }
@@ -98,9 +98,11 @@ class CountReport:
         return out
 
 
-def step_choices(L, x, j):
+def step_choices(L, x, j, containing=()):
     """All sublattices L' with (z-x) L <= L' <= L and colength(L, L') = j:
-    the codimension-j subspaces of the m-dimensional quotient L/(z-x)L."""
+    the codimension-j subspaces of the m-dimensional quotient L/(z-x)L, in
+    coordinates of L's basis.  With `containing`, a list of such coordinate
+    vectors, only the L' whose subspace contains their span."""
     F = L.field
     if not F.is_finite:
         raise ValueError("step enumeration needs a finite field")
@@ -108,7 +110,7 @@ def step_choices(L, x, j):
     if not 1 <= j <= m - 1:
         raise ValueError("need 1 <= j <= m-1")
     shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
-    return [_preimage(L, shifted, S) for S in linalg.subspaces(F, m, m - j)]
+    return [_preimage(L, shifted, S) for S in linalg.subspaces(F, m, m - j, containing)]
 
 
 def _preimage(L, shifted, vecs):
@@ -134,19 +136,24 @@ def _chain_ends(m, k, field, points):
 
 
 def _end_test(query):
-    """The query's end condition as two predicates on lattices: `keep`, which
-    every lattice of an accepted chain satisfies, and `end_ok`, which the
-    last one must.  Every lattice of a chain contains its end, so for
-    exact-z^k `keep` is containment of z^k k[z]^m; the target is built once."""
+    """The query's end condition as (target, end_ok): `end_ok` is the
+    predicate the last lattice must satisfy, and `target` is z^k k[z]^m for
+    exact-z^k, built once, else None.  Every lattice of a chain contains its
+    end, so an exact-z^k chain only steps to lattices that contain target."""
     F, k = query.field, query.k
-    always = lambda L: True
     if query.end_condition == "any":
-        return always, always
+        return None, lambda L: True
     if query.end_condition == "trivial":
-        return always, (lambda L: quotient_basis_trivial(L, k))
+        return None, lambda L: quotient_basis_trivial(L, k)
     zk = Poly.monomial(F, F.one, k)
     target = Lattice(F, PolyMatrix.identity(F, query.m).scale_poly(zk))
-    return (lambda L: contains(L, target)), (lambda L: L == target)
+    return target, lambda L: L == target
+
+
+def _image_at(L, inner, x):
+    """The image of the sublattice `inner` in L/(z-x)L, in coordinates of
+    L's basis: the columns of the transition matrix evaluated at z = x."""
+    return [[p.eval(x) for p in col] for col in transition_matrix(L, inner).columns()]
 
 
 def count_chain_fiber(query, witnesses=False):
@@ -154,18 +161,18 @@ def count_chain_fiber(query, witnesses=False):
     level by level.  Each level maps every lattice reached to the number of
     chains that reach it, or with witnesses to their tuples of lattices, so
     chains through one lattice share its step choices; the end condition is
-    tested once per distinct last lattice."""
+    tested once per distinct last lattice.  An exact-z^k count enumerates
+    only the steps whose lattice contains z^k k[z]^m."""
     if not query.field.is_finite:
         raise ValueError("chain counting needs a finite field")
     t0 = time.perf_counter()
-    keep, end_ok = _end_test(query)
+    target, end_ok = _end_test(query)
     frontier = {standard_lattice(query.m, query.field): [()] if witnesses else 1}
     for x, j in zip(query.points, query.types.entries):
         reached = {}
         for L, paths in frontier.items():
-            for nxt in step_choices(L, x, j):
-                if not keep(nxt):
-                    continue
+            image = () if target is None else _image_at(L, target, x)
+            for nxt in step_choices(L, x, j, image):
                 if witnesses:
                     reached.setdefault(nxt, []).extend(p + (nxt,) for p in paths)
                 else:
@@ -318,9 +325,12 @@ def fit_q_polynomial(samples, degree=None):
 
     When degree is given, the first degree+1 samples interpolate and the rest
     are held-out checks; otherwise all samples interpolate.  Success requires
-    nonnegative integer coefficients and matching held-out samples.
+    nonnegative integer coefficients and matching held-out samples.  An
+    empty sample list is refused.
     """
     samples = list(samples)
+    if not samples:
+        raise ValueError("no samples to fit")
     if degree is None:
         fit_pts, held = samples, []
     else:
@@ -335,8 +345,8 @@ def fit_q_polynomial(samples, degree=None):
         basis = Poly.from_roots(QQ, [QQ.from_int(qj) for qj, _ in fit_pts if qj != qi])
         fit = fit + basis.scale(QQ.div(QQ.from_int(ci), basis.eval(QQ.from_int(qi))))
     coeffs = fit.coeffs
-    if not coeffs and fit_pts:
-        coeffs = (QQ.zero,)  # all-zero samples fit as [0]; no samples fit as []
+    if not coeffs:
+        coeffs = (QQ.zero,)  # all-zero samples fit as [0]
     if any(c.denominator != 1 or c < 0 for c in coeffs):
         return FitResult(False, reason="coefficients are not nonnegative integers")
     ints = [int(c) for c in coeffs]

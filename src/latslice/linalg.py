@@ -119,11 +119,30 @@ def reduce_mod_subspace(field, W, v):
     return v
 
 
-def subspaces(field, n, d):
+def subspaces(field, n, d, containing=()):
     """All d-dimensional subspaces of F^n, each as a reduced column echelon
-    basis.  Finite fields only; count is the Gaussian binomial [n choose d]_q."""
+    basis.  Finite fields only; count is the Gaussian binomial [n choose d]_q.
+
+    With `containing`, only the subspaces that contain its span I, of rank r:
+    the (d-r)-dimensional subspaces of F^n/I, taken at the non-pivot rows of
+    I and lifted, [n-r choose d-r]_q of them and none when r > d."""
     if not field.is_finite:
         raise ValueError("subspace enumeration needs a finite field")
+    if containing:
+        I = canonical_subspace(field, containing)
+        pivots = pivot_rows(field, I)
+        others = [r for r in range(n) if r not in pivots]
+        if len(I) > d:
+            return
+        for S in subspaces(field, len(others), d - len(I)):
+            lifted = []
+            for col in S:
+                v = zeros(field, n)
+                for r, c in zip(others, col):
+                    v[r] = c
+                lifted.append(v)
+            yield canonical_subspace(field, I + lifted)
+        return
     if d == 0:
         yield []
         return

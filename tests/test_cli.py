@@ -228,6 +228,19 @@ class TestCount:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["coefficients"] == [1, 3, 2]
 
+    def test_fit_without_samples_exit_1(self):
+        proc = run("count", "fit", json.dumps({"samples": []}))
+        assert proc.returncode == 1
+        assert "no samples" in proc.stderr and proc.stdout == ""
+
+    def test_query_points_as_in_chain_json(self, capsys):
+        # ints, the point form of chain and slice JSON
+        args = ["--m", "2", "--k", "1", "--weights", "1,1", "--points", "0,1",
+                "--field", "Fp:3", "--end", "trivial"]
+        for counter in ("chain-fiber", "slice-fiber"):
+            assert cli.main(["count", counter, *args]) == 0
+            assert json.loads(capsys.readouterr().out)["query"]["points"] == [0, 1]
+
 
 class TestVerify:
     def test_small_suite(self):

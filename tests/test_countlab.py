@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from latslice.fields import GF, QQ
-from latslice.lattice import standard_lattice
+from latslice.lattice import Lattice, contains, standard_lattice
+from latslice.poly import Poly
+from latslice.polymatrix import PolyMatrix
 from latslice import countlab
 from latslice.countlab import (
     END_CONDITIONS,
@@ -46,6 +48,28 @@ class TestStepChoices:
         F = GF(2)
         with pytest.raises(ValueError):
             step_choices(standard_lattice(2, F), F.zero, 2)
+
+    @pytest.mark.parametrize("m,k,q", [(2, 2, 3), (2, 3, 2), (3, 1, 3), (3, 2, 2)])
+    def test_containing_target_image(self, m, k, q):
+        # seeded L >= T = z^k k[z]^m: T's generators plus random vectors of
+        # degree < k; the steps whose subspace contains T's image at x are
+        # the steps whose lattice contains T
+        F = GF(q)
+        rng = random.Random(20261018 + 10 * m + k)
+        T = _zk_lattice(m, k, F)
+        for _ in range(3):
+            extra = [
+                [Poly(F, tuple(rng.randrange(q) for _ in range(k))) for _ in range(m)]
+                for _ in range(rng.randint(1, m))
+            ]
+            L = Lattice(F, PolyMatrix.from_cols(F, T.basis.columns() + extra))
+            for x in F.elements():
+                image = countlab._image_at(L, T, x)
+                for j in range(1, m):
+                    want = {L2 for L2 in step_choices(L, x, j) if contains(L2, T)}
+                    got = step_choices(L, x, j, image)
+                    assert len(set(got)) == len(got)
+                    assert set(got) == want, (L, x, j)
 
 
 class TestChainCount:
@@ -110,6 +134,46 @@ class TestChainCount:
             assert report.count == count, query
             assert set(report.witnesses) == set(chains), query
         assert oracles.dfs_chain_fiber(queries[0]) == (28, None)
+
+    def test_exact_zk_agrees_with_dfs(self):
+        # the pruned exact-z^k count against the unpruned walk, on the
+        # central fibre and on seeded points; z^k k[z]^m is supported at 0,
+        # so a step at any other point, as in (0,1,0,1), leaves no chain
+        queries = [FiberQuery(2, 2, (1, 1, 1, 1), (0, 1, 0, 1), GF(3), "exact-zk")]
+        rng = random.Random(20261019)
+        for (m, k), p in itertools.product(((2, 2), (2, 3), (3, 1), (3, 2)), (2, 3)):
+            choices = _small_types(m, k, p)
+            if not choices:
+                continue
+            types = rng.choice(choices)
+            for pts in ([0] * len(types), [rng.randrange(p) for _ in types]):
+                queries.append(FiberQuery(m, k, types, pts, GF(p), "exact-zk"))
+        assert len(queries) == 13
+        for query in queries:
+            count, chains = oracles.dfs_chain_fiber(query, witnesses=True)
+            report = count_chain_fiber(query, witnesses=True)
+            assert count_chain_fiber(query).count == report.count == count, query
+            assert set(report.witnesses) == set(chains), query
+            assert (count > 0) == (not any(query.points)), query
+
+    def test_exact_zk_builds_only_kept_lattices(self, monkeypatch):
+        # m=3, (1,1,1), q=7: building every child and then testing it makes
+        # 6556 lattices; the pruned enumeration makes fewer than 600
+        built = []
+        real = countlab.Lattice
+
+        def counted(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(countlab, "Lattice", counted)
+        query = FiberQuery(3, 1, (1, 1, 1), (0, 0, 0), GF(7), "exact-zk")
+        assert count_chain_fiber(query).count == 456
+        assert 0 < len(built) <= 600
+
+
+def _zk_lattice(m, k, F):
+    return Lattice(F, PolyMatrix.identity(F, m).scale_poly(Poly.monomial(F, F.one, k)))
 
 
 def _small_types(m, k, p, max_chains=1000):
@@ -197,7 +261,11 @@ class TestFit:
         fit = fit_q_polynomial([(2, 0), (3, 0), (5, 0)])
         assert fit.success and fit.coefficients == [0] and fit.degree == 0
         assert fit_q_polynomial([(2, 0), (3, 0), (5, 0)], degree=1).coefficients == [0]
-        assert fit_q_polynomial([]).coefficients == []
+
+    def test_empty_samples_refused(self):
+        for degree in (None, 0):
+            with pytest.raises(ValueError, match="no samples"):
+                fit_q_polynomial([], degree=degree)
 
 
 class TestSuites:
@@ -244,6 +312,15 @@ class TestSuites:
         report = suite_central_leading(m=3, types=(1, 1, 1), qs=(2, 3, 5, 7), held_out=11)
         assert report["pass"]
         assert [c["actual"] for c in report["cases"][1:]] == [3, 1]
+
+    def test_central_leading_eight_points(self):
+        # m=2, k=4: degree 4 and leading coefficient the Catalan number 14
+        report = suite_central_leading(m=2, types=(1,) * 8, qs=(2, 3, 5, 7, 11))
+        assert report["pass"]
+        samples = report["cases"][0]["params"]["samples"]
+        assert samples == [(q, oracles.tree_walk_count(q, 8)) for q in (2, 3, 5, 7, 11)]
+        assert [c for _, c in samples] == [543, 2092, 12786, 44248, 244740]
+        assert [c["actual"] for c in report["cases"][1:]] == [4, 14]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,34 @@ def test_subspace_enumeration_counts():
                 assert len({tuple(tuple(c) for c in W) for W in got}) == len(got)
 
 
+def test_subspaces_containing():
+    # I of every rank r, spanned by r seeded vectors plus a redundant one;
+    # the result is the filtered full enumeration, [n-r choose d-r]_q of
+    # canonical bases, and empty when r > d
+    rng = random.Random(20261018)
+    key = lambda W: tuple(tuple(c) for c in W)
+    for q in (2, 3, 5):
+        F = GF(q)
+        for n in range(1, 5):
+            for r in range(n + 1):
+                gens = []
+                while linalg.rank(F, gens + [[0] * n]) != r:
+                    gens = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+                gens.append([sum(col) % q for col in zip(*gens)] if gens else [0] * n)
+                I = linalg.canonical_subspace(F, gens)
+                for d in range(n + 1):
+                    got = list(linalg.subspaces(F, n, d, containing=gens))
+                    want = {
+                        key(W)
+                        for W in linalg.subspaces(F, n, d)
+                        if all(linalg.subspace_contains(F, W, v) for v in I)
+                    }
+                    assert len(got) == (gaussian_binomial(n - r, d - r, q) if r <= d else 0)
+                    assert len({key(W) for W in got}) == len(got)
+                    assert {key(W) for W in got} == want, (q, n, r, d)
+                    assert all(W == linalg.canonical_subspace(F, W) for W in got)
+
+
 def test_char_poly_matches_sympy():
     rng = random.Random(13)
     z = sympy.Symbol("z")
