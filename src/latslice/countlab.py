@@ -235,8 +235,6 @@ def _stable_flags(Y, points, types):
         # quotient by W: coordinates at non-pivot rows
         pivots = linalg.pivot_rows(field, W)
         others = [r for r in range(N) if r not in pivots]
-        if len(others) < d:
-            return
         qmat = []
         for r in others:
             e = [field.zero] * N
@@ -260,8 +258,6 @@ def _stable_flags(Y, points, types):
                             v[r] = field.add(v[r], field.mul(c, kv[t]))
                 lifted.append(v)
             Wnew = linalg.canonical_subspace(field, [list(w) for w in W] + lifted)
-            if len(Wnew) != len(W) + d:
-                continue
             for rest in rec(i + 1, Wnew):
                 yield [Wnew] + rest
 

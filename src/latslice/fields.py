@@ -98,7 +98,10 @@ class Field:
         if isinstance(s, str):
             if self.p is not None:
                 return int(s, 10) % self.p
-            return Fraction(s)
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"not a field element: {s!r}") from None
         raise ValueError(f"not a field element: {s!r}")
 
     @property

@@ -12,10 +12,10 @@ from . import linalg
 from .poly import Poly, linear_roots
 from .polymatrix import (
     PolyMatrix,
+    _column_echelon,
     column_reduce,
     det,
     hermite_basis,
-    hermite_with_transform,
     smith_normal_form,
 )
 
@@ -208,15 +208,14 @@ def lattice_sum(L1, L2):
 
 
 def intersect(L1, L2):
-    """Module-theoretic intersection, via the kernel of [B1 | B2]."""
+    """Module-theoretic intersection, via the kernel of [B1 | B2], echeloned
+    with [B1 | 0] carried below: a kernel column (a; b), B1 a = B2 b, ends as
+    (0; B1 a)."""
     _check_pair(L1, L2)
-    m = L1.m
-    stacked = L1.basis.hstack(L2.basis)  # m x 2m, rank m
-    H, V = hermite_with_transform(stacked)
-    gens = []
-    for j in range(m, 2 * m):  # kernel columns: (a; b) with B1 a = B2 b
-        a = [V.entry(i, j) for i in range(m)]
-        gens.append(L1.basis.mul_vec(a))
+    m, zero = L1.m, Poly.zero(L1.field)
+    stacked = [c + c for c in L1.basis.columns()] + [c + [zero] * m for c in L2.basis.columns()]
+    pivots, cols = _column_echelon(stacked, m)
+    gens = [c[m:] for j, c in enumerate(cols) if j not in pivots]
     return Lattice(L1.field, PolyMatrix.from_cols(L1.field, gens))
 
 
@@ -226,8 +225,8 @@ def slice_column(L, k):
     deg q_j < k, in the monomial basis (e_1..e_m, ..., z^(k-1) e_1..
     z^(k-1) e_m) of k[z]^m / L.  None when those m*k monomials are not a
     basis of the quotient.  Their reductions modulo the Hermite basis give
-    an N x N field matrix C (N = m*k); q_j is C^-1 times the reduction of
-    z^k e_j."""
+    an N x N field matrix C (N = m*k); q_j solves C q_j = the reduction of
+    z^k e_j, all m in one solve."""
     if k < 1:
         raise ValueError("k must be positive")
     F, m, H = L.field, L.m, L.basis
@@ -244,10 +243,9 @@ def slice_column(L, k):
             v = [p.shift(1) for p in v]
         runs.append(run)
     C = [[runs[j][t][r] for t in range(k) for j in range(m)] for r in range(m * k)]
-    Cinv = linalg.inverse(F, C)
-    if Cinv is None:
-        return None
-    return [linalg.mat_vec(F, Cinv, run[k]) for run in runs]
+    R = [[run[k][r] for run in runs] for r in range(m * k)]
+    X = linalg.solve(F, C, R)
+    return None if X is None else [list(q) for q in zip(*X)]
 
 
 def quotient_basis_trivial(L, k):

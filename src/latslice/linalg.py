@@ -1,6 +1,6 @@
-"""Exact linear algebra over a base field: echelon forms, kernels, canonical
-subspace representatives, subspace enumeration over finite fields, and
-characteristic polynomials.
+"""Exact linear algebra over a base field: echelon forms, kernels, solves,
+canonical subspace representatives, subspace enumeration over finite fields,
+and characteristic polynomials.
 
 Field matrices are plain lists of rows; subspaces are represented by their
 reduced column echelon basis (a canonical form, so equality of subspaces is
@@ -15,18 +15,6 @@ from .poly import Poly
 
 def zeros(field, n):
     return [field.zero] * n
-
-def mat_vec(field, A, v):
-    return [
-        _dot(field, row, v)
-        for row in A
-    ]
-
-def _dot(field, a, b):
-    acc = field.zero
-    for x, y in zip(a, b):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 def rref(field, rows):
@@ -75,12 +63,11 @@ def kernel_basis(field, rows):
     return basis
 
 
-def inverse(field, A):
-    """The inverse of a square field matrix, or None when it is singular."""
+def solve(field, A, B):
+    """The X with A*X = B, for a square field matrix A and right-hand sides B
+    (lists of rows), from one rref of [A | B]; None when A is singular."""
     n = len(A)
-    one, zero = field.one, field.zero
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A)]
-    a, pivots = rref(field, aug)
+    a, pivots = rref(field, [list(ra) + list(rb) for ra, rb in zip(A, B)])
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in a]

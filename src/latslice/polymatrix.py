@@ -2,7 +2,7 @@
 
 Everything is exact.  The determinant uses Bareiss fraction-free elimination
 (all intermediate divisions are exact in k[z]); Smith, Hermite and column
-reduction are the classical Euclidean algorithms with unimodular tracking.
+reduction are Euclidean algorithms; a transform rides along as extra rows.
 """
 
 from . import linalg
@@ -154,15 +154,16 @@ def is_unimodular(M):
 
 def smith_normal_form(M):
     """U*M*V = D, D diagonal with monic d_1 | d_2 | ... | d_n, U and V
-    unimodular.  Raises ValueError for singular (or non-square) input."""
+    unimodular.  Raises ValueError for singular (or non-square) input.
+    Works on [[M, I], [I, 0]], pivoting in the top-left block only: U is
+    read off the top-right block and V off the bottom-left one."""
     if M.rows != M.cols:
         raise ValueError("Smith form of a non-square matrix")
     n = M.rows
     F = M.field
-    a = [M.row(i) for i in range(n)]
-    U = [PolyMatrix.identity(F, n).row(i) for i in range(n)]
-    V = [[Poly.one(F) if i == j else Poly.zero(F) for i in range(n)] for j in range(n)]
-    # V kept as a list of columns so column ops are row ops on V's transpose
+    one, zero = Poly.one(F), Poly.zero(F)
+    a = [M.row(i) + [one if j == i else zero for j in range(n)] for i in range(n)]
+    a += [[one if j == i else zero for j in range(n)] + [zero] * n for i in range(n)]
     for t in range(n):
         while True:
             # minimal-degree nonzero entry of the trailing block
@@ -178,29 +179,25 @@ def smith_normal_form(M):
             bi, bj = best
             if bi != t:
                 a[t], a[bi] = a[bi], a[t]
-                U[t], U[bi] = U[bi], U[t]
             if bj != t:
                 for row in a:
                     row[t], row[bj] = row[bj], row[t]
-                V[t], V[bj] = V[bj], V[t]
             pivot = a[t][t]
             dirty = False
             for i in range(t + 1, n):
                 if a[i][t].is_zero:
                     continue
                 q, r = divmod(a[i][t], pivot)
-                for j in range(n):
+                for j in range(2 * n):
                     a[i][j] = a[i][j] - q * a[t][j]
-                    U[i][j] = U[i][j] - q * U[t][j]
                 if not r.is_zero:
                     dirty = True
             for j in range(t + 1, n):
                 if a[t][j].is_zero:
                     continue
                 q, r = divmod(a[t][j], pivot)
-                for i in range(n):
-                    a[i][j] = a[i][j] - q * a[i][t]
-                    V[j][i] = V[j][i] - q * V[t][i]
+                for row in a:
+                    row[j] = row[j] - q * row[t]
                 if not r.is_zero:
                     dirty = True
             if dirty:
@@ -216,40 +213,32 @@ def smith_normal_form(M):
                     break
             if offender is None:
                 break
-            for j in range(n):
+            for j in range(2 * n):
                 a[t][j] = a[t][j] + a[offender][j]
-                U[t][j] = U[t][j] + U[offender][j]
     # monic pivots: scale row t of D and of U by the same constant
     for t in range(n):
         c = a[t][t].lc
         if c != F.one:
             inv = F.inv(c)
-            a[t][t] = a[t][t].scale(inv)
-            U[t] = [u.scale(inv) for u in U[t]]
-    Um = PolyMatrix.from_rows(F, U)
+            a[t] = [e.scale(inv) for e in a[t]]
+    Um = PolyMatrix.from_rows(F, [row[n:] for row in a[:n]])
     Dm = PolyMatrix.diagonal(F, [a[t][t] for t in range(n)])
-    Vm = PolyMatrix.from_cols(F, V)
+    Vm = PolyMatrix.from_rows(F, [row[:n] for row in a[n:]])
     return Um, Dm, Vm
 
 
-def _column_echelon(field, cols, transform=False):
-    """Triangularize columns over k[z] by unimodular column operations.
+def _column_echelon(cols, m):
+    """Triangularize columns over k[z] by unimodular column operations,
+    pivoting on rows m-1..0 only.  Rows below m ride along with every
+    operation, so identity rows stacked under a matrix M come out as a
+    unimodular V with M*V = the echelon form.
 
-    Returns (pivots, cols, trans): pivots[i] is the column index holding the
-    pivot of row i (or None), trailing non-pivot columns are zero.  When
-    transform is set, trans mirrors every operation on an identity, so
-    original_matrix * trans_matrix = echelon_matrix column by column.
+    Returns (pivots, cols): pivots[i] is the column index holding the pivot
+    of row i (or None); the columns holding no pivot are zero in rows
+    0..m-1.
     """
-    m = len(cols[0]) if cols else 0
-    g = len(cols)
     cols = [list(c) for c in cols]
-    trans = None
-    if transform:
-        trans = [
-            [Poly.one(field) if i == j else Poly.zero(field) for i in range(g)]
-            for j in range(g)
-        ]
-    free = list(range(g))
+    free = list(range(len(cols)))
     pivots = [None] * m
     for i in range(m - 1, -1, -1):
         while True:
@@ -265,17 +254,14 @@ def _column_echelon(field, cols, transform=False):
                 if j == piv:
                     continue
                 q = cols[j][i] // cols[piv][i]
-                for r in range(m):
+                for r in range(len(cols[j])):
                     cols[j][r] = cols[j][r] - q * cols[piv][r]
-                if transform:
-                    for r in range(g):
-                        trans[j][r] = trans[j][r] - q * trans[piv][r]
-    return pivots, cols, trans
+    return pivots, cols
 
 
-def _reduce_echelon(field, pivots, cols, trans=None):
-    """Monic pivots and degree-reduced off-pivot entries (canonical form)."""
-    g = len(cols)
+def _reduce_echelon(field, pivots, cols):
+    """Monic pivots and degree-reduced off-pivot entries (canonical form);
+    rows below the pivot rows ride along."""
     pivot_rows = [i for i in range(len(pivots)) if pivots[i] is not None]
     for i in pivot_rows:
         j = pivots[i]
@@ -283,9 +269,7 @@ def _reduce_echelon(field, pivots, cols, trans=None):
         if c != field.one:
             inv = field.inv(c)
             cols[j] = [e.scale(inv) for e in cols[j]]
-            if trans is not None:
-                trans[j] = [e.scale(inv) for e in trans[j]]
-    for j in range(g):
+    for j in range(len(cols)):
         for i in sorted(pivot_rows, reverse=True):
             pj = pivots[i]
             if pj == j:
@@ -294,10 +278,7 @@ def _reduce_echelon(field, pivots, cols, trans=None):
                 q = cols[j][i] // cols[pj][i]
                 for r in range(len(cols[j])):
                     cols[j][r] = cols[j][r] - q * cols[pj][r]
-                if trans is not None:
-                    for r in range(len(trans[j])):
-                        trans[j][r] = trans[j][r] - q * trans[pj][r]
-    return cols, trans
+    return cols
 
 
 def hermite_basis(M):
@@ -308,29 +289,12 @@ def hermite_basis(M):
     matrices.  Raises ValueError on rank-deficient input.
     """
     F = M.field
-    pivots, cols, _ = _column_echelon(F, M.columns())
+    pivots, cols = _column_echelon(M.columns(), M.rows)
     if any(p is None for p in pivots):
         raise ValueError("generators do not span a rank-m module")
-    cols, _ = _reduce_echelon(F, pivots, cols)
+    cols = _reduce_echelon(F, pivots, cols)
     ordered = [cols[pivots[i]] for i in range(M.rows)]
     return PolyMatrix.from_cols(F, ordered)
-
-
-def hermite_with_transform(M):
-    """(H, V) with M*V = H, V unimodular and H the column echelon of M.
-
-    H has the pivot columns first (in row order) followed by zero columns;
-    the matching columns of V spanning ker(M) come last.
-    """
-    F = M.field
-    pivots, cols, trans = _column_echelon(F, M.columns(), transform=True)
-    cols, trans = _reduce_echelon(F, pivots, cols, trans)
-    pivot_js = [pivots[i] for i in range(M.rows) if pivots[i] is not None]
-    other_js = [j for j in range(M.cols) if j not in pivot_js]
-    order = pivot_js + other_js
-    H = PolyMatrix.from_cols(F, [cols[j] for j in order])
-    V = PolyMatrix.from_cols(F, [trans[j] for j in order])
-    return H, V
 
 
 def column_reduce(M):

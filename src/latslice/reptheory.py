@@ -34,6 +34,8 @@ class WeightSeq:
     weights omega_(pi_i) of SL_m."""
 
     def __init__(self, m, entries):
+        if m < 1:
+            raise ValueError("rank must be positive")
         entries = tuple(int(e) for e in entries)
         if any(not 1 <= e <= m - 1 for e in entries):
             raise ValueError("entries must lie in 1..m-1")

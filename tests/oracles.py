@@ -22,6 +22,20 @@ from latslice.polymatrix import PolyMatrix, det, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
+# Dense field matrix times a vector, one dot product per row: the reference
+# for structured products and kernels.
+
+def mat_vec(field, rows, v):
+    out = []
+    for row in rows:
+        acc = field.zero
+        for a, b in zip(row, v):
+            acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Cramer-rule transition: entry (i, j) of basis(outer)^-1 * basis(inner) is
 # det(B with column i replaced by inner column j) / det(B).  The lattice
 # module solves the same system by back-substitution instead.

@@ -23,6 +23,7 @@ def run(*args, stdin=None):
 
 
 LAT = json.dumps({"field": "Fp:3", "m": 2, "basis": [[[0, 1], [0]], [[1], [0, 1]]]})
+LAT_Q = {"field": "Q", "m": 1, "basis": [[[0, 1]]]}
 
 CHAIN = json.dumps(
     {
@@ -175,6 +176,19 @@ class TestChainSlice:
         assert cli.main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["lattice", "divisor", json.dumps(dict(LAT_Q, basis=[[["1/0"]]]))], 2),
+            (["chain", "validate", json.dumps(dict(json.loads(CHAIN), field="Q", points=["1/0", 1]))], 2),
+            (["lattice", "hecke-type", json.dumps(LAT_Q), "--x", "1/0"], 1),
+        ],
+        ids=["basis-entry", "chain-point", "x"],
+    )
+    def test_zero_denominator_is_not_a_field_element(self, argv, code, capsys):
+        assert cli.main(argv) == code
+        assert "not a field element: '1/0'" in capsys.readouterr().err
+
 
 class TestRep:
     def test_invariant_dim(self):
@@ -184,6 +198,10 @@ class TestRep:
     def test_dual(self):
         proc = run("rep", "dual", "--m", "3", "--j", "1")
         assert json.loads(proc.stdout) == {"dual": 2}
+
+    def test_rank_zero_exit_1(self, capsys):
+        assert cli.main(["rep", "invariant-dim", "--m", "0", "--weights", ""]) == 1
+        assert "rank must be positive" in capsys.readouterr().err
 
 
 class TestCount:

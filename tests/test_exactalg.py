@@ -12,10 +12,10 @@ from latslice.fields import GF, QQ
 from latslice.poly import Poly, linear_roots, poly_gcd
 from latslice.polymatrix import (
     PolyMatrix,
+    _column_echelon,
     column_reduce,
     det,
     hermite_basis,
-    hermite_with_transform,
     is_unimodular,
     smith_normal_form,
 )
@@ -226,6 +226,26 @@ class TestSmith:
                 assert sympy.Poly(got, z, modulus=3) == d
 
 
+    def test_transforms_on_seeded_matrices(self):
+        rng = random.Random(31)
+        for F in (GF(2), GF(3), GF(5), QQ):
+            for _ in range(8):
+                n = rng.randint(1, 3)
+                rows = [
+                    [[rng.randint(-2, 2) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+                    for _ in range(n)
+                ]
+                M = mat(F, rows)
+                if det(M).is_zero:
+                    continue
+                U, D, V = smith_normal_form(M)
+                assert is_unimodular(U) and is_unimodular(V)
+                assert U * M * V == D
+                divisors = [D.entry(t, t) for t in range(n)]
+                assert all(d.lc == F.one for d in divisors)
+                assert all((b % a).is_zero for a, b in zip(divisors, divisors[1:]))
+
+
 class TestHermite:
     def test_full_module(self):
         F = QQ
@@ -276,14 +296,35 @@ class TestHermite:
             T = mat(F, [[(1,), (rng.randint(0, 2), rng.randint(0, 2))], [(0,), (1,)]])
             assert hermite_basis(M * T) == H
 
-    def test_transform_tracks_kernel(self):
-        F = GF(3)
-        M = mat(F, [[(0, 1), (1,), (0, 1)], [(0,), (0, 1), (0, 1)]])
-        H, V = hermite_with_transform(M)
-        assert is_unimodular(V)
-        assert M * V == H
-        for j in range(2, 3):
-            assert all(p.is_zero for p in H.col(j))
+    def test_carried_rows_record_transform(self):
+        # identity rows stacked under M ride along with every column
+        # operation, so they come out as a unimodular V with M*V = H
+        rng = random.Random(29)
+        cases = [(GF(3), mat(GF(3), [[(0, 1), (1,), (0, 1)], [(0,), (0, 1), (0, 1)]]))]
+        for F in (GF(2), GF(5), QQ):
+            for _ in range(8):
+                m = rng.randint(1, 3)
+                g = rng.randint(m, m + 2)
+                rows = [
+                    [[rng.randint(-2, 2) for _ in range(rng.randint(0, 3))] for _ in range(g)]
+                    for _ in range(m)
+                ]
+                cases.append((F, mat(F, rows)))
+        for F, M in cases:
+            m, g = M.rows, M.cols
+            eye = PolyMatrix.identity(F, g).columns()
+            pivots, cols = _column_echelon([c + e for c, e in zip(M.columns(), eye)], m)
+            H = PolyMatrix.from_cols(F, [c[:m] for c in cols])
+            V = PolyMatrix.from_cols(F, [c[m:] for c in cols])
+            assert is_unimodular(V)
+            assert M * V == H
+            for j, c in enumerate(cols):
+                if j not in pivots:
+                    assert all(p.is_zero for p in c[:m])
+            for i, j in enumerate(pivots):
+                if j is not None:
+                    assert not H.entry(i, j).is_zero
+                    assert all(H.entry(r, j).is_zero for r in range(i + 1, m))
 
 
 class TestColumnReduce:

@@ -1,7 +1,9 @@
 """The runtime is stdlib-only: every import in the package names latslice
-or a standard-library module, and the project declares no dependencies."""
+or a standard-library module, and the project declares no dependencies.
+Every module-level function in the package is used or exported."""
 
 import ast
+import collections
 import pathlib
 import sys
 
@@ -28,3 +30,36 @@ def test_no_declared_dependencies():
     # read as text: tomllib is not in Python 3.10, which the project supports
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_no_dead_helpers():
+    # a function counts as used when its name is read somewhere in src/
+    # outside its own body (an import alone does not count), or when
+    # latslice/__init__.py exports it
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "src" / "latslice").glob("*.py"))
+    }
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = collections.Counter(name for tree in trees.values() for name in _names(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name not in exported:
+                inside = sum(1 for name in _names(node) if name == node.name)
+                if used[node.name] == inside:
+                    dead.append(f"{module}:{node.name}")
+    assert dead == []

@@ -40,6 +40,13 @@ class TestPieri:
             pieri_add(Partition((1, 1)), 2, 2)
 
 
+class TestWeightSeq:
+    def test_rank_must_be_positive(self):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="rank must be positive"):
+                WeightSeq(m, ())
+
+
 class TestRootLattice:
     def test_cases(self):
         assert root_lattice_check(WeightSeq(2, (1, 1, 1, 1)))

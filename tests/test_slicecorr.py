@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from latslice import linalg
 from latslice.fields import GF, QQ
 from latslice.lattice import Lattice, LatticeChain, standard_lattice
@@ -99,7 +100,7 @@ class TestSliceMatrix:
                 m = rng.randint(1, 3)
                 Y = random_slice(rng, F, m, k)
                 w = [F.from_int(rng.randint(-2, 2)) for _ in range(m * k)]
-                assert Y.times_z(w) == linalg.mat_vec(F, Y.rows(), w)
+                assert Y.times_z(w) == oracles.mat_vec(F, Y.rows(), w)
 
     def test_block_column_gives_back_the_matrix(self):
         rng = random.Random(53)
