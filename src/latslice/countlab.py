@@ -109,8 +109,16 @@ def step_choices(L, x, j, containing=()):
     m = L.m
     if not 1 <= j <= m - 1:
         raise ValueError("need 1 <= j <= m-1")
+    return list(_steps(L, x, j, containing))
+
+
+def _steps(L, x, j, containing):
+    """The lattices of `step_choices`, one at a time, in the order in which
+    `linalg.subspaces` yields their subspaces."""
+    F = L.field
     shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
-    return [_preimage(L, shifted, S) for S in linalg.subspaces(F, m, m - j, containing)]
+    for S in linalg.subspaces(F, L.m, L.m - j, containing):
+        yield _preimage(L, shifted, S)
 
 
 def _preimage(L, shifted, vecs):
@@ -162,13 +170,31 @@ def count_chain_fiber(query, witnesses=False):
     chains that reach it, or with witnesses to their tuples of lattices, so
     chains through one lattice share its step choices; the end condition is
     tested once per distinct last lattice.  An exact-z^k count enumerates
-    only the steps whose lattice contains z^k k[z]^m."""
-    if not query.field.is_finite:
+    only the steps whose lattice contains z^k k[z]^m.
+
+    A count without witnesses walks from one first step only.  A constant
+    g in GL_m(F_q) fixes k[z]^m, z^k k[z]^m and the span of the monomials
+    z^t e_j (t < k), so it maps the chains at the query's points onto
+    themselves and keeps every end condition; and it permutes the first
+    steps, the codimension-j_1 subspaces of k[z]^m/(z-x_1)k[z]^m = F_q^m,
+    transitively.  So each first step starts equally many chains, and the
+    first one `linalg.subspaces` yields stands for all [m choose j_1]_q of
+    them.  When no first step contains the image of z^k k[z]^m (exact-z^k
+    with x_1 != 0) the count is 0.  Witnesses come from the full walk."""
+    F = query.field
+    if not F.is_finite:
         raise ValueError("chain counting needs a finite field")
     t0 = time.perf_counter()
     target, end_ok = _end_test(query)
-    frontier = {standard_lattice(query.m, query.field): [()] if witnesses else 1}
-    for x, j in zip(query.points, query.types.entries):
+    std = standard_lattice(query.m, F)
+    steps = list(zip(query.points, query.types.entries))
+    frontier = {std: [()] if witnesses else 1}
+    if steps and not witnesses:
+        (x, j), steps = steps[0], steps[1:]
+        image = () if target is None else _image_at(std, target, x)
+        first = next(_steps(std, x, j, image), None)
+        frontier = {} if first is None else {first: gaussian_binomial(query.m, j, F.p)}
+    for x, j in steps:
         reached = {}
         for L, paths in frontier.items():
             image = () if target is None else _image_at(L, target, x)
@@ -193,10 +219,14 @@ def count_chain_fiber(query, witnesses=False):
     return CountReport(query, count, elapsed, wit)
 
 
-def enumerate_slice_matrices(m, k, field):
+def enumerate_slice_matrices(m, k, field, trace=None):
     """All matrices in the slice over a finite field: the free entries are
-    the last block column.  More than MAX_SLICE_MATRICES of them are refused
-    before the first is made."""
+    the last block column, taken row by row.  More than MAX_SLICE_MATRICES
+    matrices in the whole space are refused before the first is made.
+
+    With a trace, only the matrices of that trace, in the same order: the
+    trace is that of the last diagonal block, and its last entry, the last
+    free entry, is solved from the others, so q^(m*m*k - 1) of them."""
     if not field.is_finite:
         raise ValueError("slice enumeration needs a finite field")
     size = field.p ** (m * m * k)
@@ -206,17 +236,20 @@ def enumerate_slice_matrices(m, k, field):
             f" = {size} matrices, over the limit of {MAX_SLICE_MATRICES}"
         )
     els = list(field.elements())
-    prefixes = [row[: m * k - m] for row in base_point(m, k, field).entries]
-    for values in product(els, repeat=m * m * k):
+    N = m * k
+    prefixes = [row[: N - m] for row in base_point(m, k, field).entries]
+    free = m * m * k if trace is None else m * m * k - 1
+    # positions in `values` of the diagonal of the last block but its last
+    diagonal = [(N - m + i) * m + i for i in range(m - 1)]
+    for values in product(els, repeat=free):
+        if trace is not None:
+            last = trace
+            for d in diagonal:
+                last = field.sub(last, values[d])
+            values += (last,)
         yield SliceMatrix(
             m, k, field, [pre + values[i * m : i * m + m] for i, pre in enumerate(prefixes)]
         )
-
-
-def _char_polys(m, k, field):
-    """(Y, characteristic polynomial of Y) for every matrix in the slice."""
-    for Y in enumerate_slice_matrices(m, k, field):
-        yield Y, linalg.char_poly(field, Y.entries)
 
 
 def _stable_flags(Y, points, types):
@@ -268,7 +301,12 @@ def _stable_flags(Y, points, types):
 def count_slice_fiber(query, witnesses=False):
     """Enumerate slice matrices with the prescribed characteristic polynomial
     and their compatible flags; the slice model is the trivial locus, so the
-    end condition must be 'trivial'."""
+    end condition must be 'trivial'.
+
+    The characteristic polynomial prod (z - x_i)^pi_i fixes the trace of Y
+    at sum pi_i x_i, so only the matrices of that trace are enumerated, in
+    the order of the full enumeration; each still has its characteristic
+    polynomial computed and compared."""
     if not query.field.is_finite:
         raise ValueError("slice counting needs a finite field")
     if query.end_condition != "trivial":
@@ -276,7 +314,12 @@ def count_slice_fiber(query, witnesses=False):
     t0 = time.perf_counter()
     F = query.field
     target = target_poly(F, query.points, query.types.entries)
-    matrices = (Y for Y, cp in _char_polys(query.m, query.k, F) if cp == target)
+    trace = F.neg(target.coeff(target.degree - 1))  # sum pi_i x_i
+    matrices = (
+        Y
+        for Y in enumerate_slice_matrices(query.m, query.k, F, trace)
+        if linalg.char_poly(F, Y.entries) == target
+    )
     count = 0
     found = [] if witnesses else None
     for Y, flags in _slice_fiber(query, matrices):
@@ -407,8 +450,8 @@ def suite_counts_equal(grid=DEFAULT_GRID, qs=(2, 3)):
         for query in queries:
             if (m, k, F) not in buckets:
                 by_poly = buckets[m, k, F] = {}
-                for Y, cp in _char_polys(m, k, F):
-                    by_poly.setdefault(cp, []).append(Y)
+                for Y in enumerate_slice_matrices(m, k, F):
+                    by_poly.setdefault(linalg.char_poly(F, Y.entries), []).append(Y)
             target = target_poly(F, query.points, query.types.entries)
             matrices = buckets[m, k, F].get(target, ())
             slice_count = sum(1 for _ in _slice_fiber(query, matrices))

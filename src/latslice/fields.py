@@ -90,7 +90,9 @@ class Field:
         return str(a)
 
     def parse(self, s):
-        """Parse a field element from JSON data: an int, or 'p/q' over Q."""
+        """Parse a field element from JSON data: an int, or 'p/q' over Q.
+        Exponent notation is refused: a short literal such as '1e99999999'
+        would ask for an integer of hundreds of megabytes."""
         if isinstance(s, bool):
             raise ValueError(f"not a field element: {s!r}")
         if isinstance(s, int):
@@ -98,6 +100,8 @@ class Field:
         if isinstance(s, str):
             if self.p is not None:
                 return int(s, 10) % self.p
+            if "e" in s or "E" in s:
+                raise ValueError(f"not a field element: {s!r}")
             try:
                 return Fraction(s)
             except ZeroDivisionError:

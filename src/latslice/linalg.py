@@ -9,7 +9,6 @@ equality of representations).
 
 from itertools import combinations, product
 
-from . import polymatrix
 from .poly import Poly
 
 
@@ -152,11 +151,46 @@ def subspaces(field, n, d, containing=()):
 
 
 def char_poly(field, A):
-    """Characteristic polynomial det(z*I - A), monic, computed exactly."""
+    """Characteristic polynomial det(z*I - A), monic, computed exactly in
+    the field: A is brought to upper Hessenberg form H by similarity, and
+    the characteristic polynomials p_r of the leading r x r blocks of H
+    follow from the recurrence along its subdiagonal (Cohen, "A Course in
+    Computational Algebraic Number Theory", Alg. 2.2.9)."""
     n = len(A)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            diag = Poly.x(field) if i == j else Poly.zero(field)
-            entries.append(diag - Poly.const(field, A[i][j]))
-    return polymatrix.det(polymatrix.PolyMatrix(field, n, n, entries))
+    H = [list(row) for row in A]
+    zero = field.zero
+    for c in range(n - 2):
+        # clear column c below the subdiagonal, pivoting on row c+1
+        piv = next((i for i in range(c + 1, n) if H[i][c] != zero), None)
+        if piv is None:
+            continue
+        if piv != c + 1:
+            H[piv], H[c + 1] = H[c + 1], H[piv]
+            for row in H:
+                row[piv], row[c + 1] = row[c + 1], row[piv]
+        inv = field.inv(H[c + 1][c])
+        for i in range(c + 2, n):
+            u = field.mul(H[i][c], inv)
+            if u == zero:
+                continue
+            # row_i -= u row_(c+1), then col_(c+1) += u col_i: a similarity
+            H[i] = [field.sub(a, field.mul(u, b)) for a, b in zip(H[i], H[c + 1])]
+            for row in H:
+                row[c + 1] = field.add(row[c + 1], field.mul(u, row[i]))
+    # p_(r+1) = (z - h_rr) p_r - sum_i (h_(r,r-1) ... h_(r-i+1,r-i)) h_(r-i,r) p_(r-i)
+    polys = [[field.one]]
+    for r in range(n):
+        prev = polys[r]
+        p = [zero] + prev  # z p_r
+        for d, c in enumerate(prev):
+            p[d] = field.sub(p[d], field.mul(H[r][r], c))
+        t = field.one
+        for i in range(1, r + 1):
+            t = field.mul(t, H[r - i + 1][r - i])
+            if t == zero:
+                break  # every longer product has this factor too
+            f = field.mul(t, H[r - i][r])
+            for d, c in enumerate(polys[r - i]):
+                p[d] = field.sub(p[d], field.mul(f, c))
+        polys.append(p)
+    return Poly(field, polys[n])

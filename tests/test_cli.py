@@ -189,6 +189,21 @@ class TestChainSlice:
         assert cli.main(argv) == code
         assert "not a field element: '1/0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["lattice", "divisor", json.dumps(dict(LAT_Q, basis=[[["1e99999999", 1]]]))], 2),
+            (["lattice", "hecke-type", json.dumps(LAT_Q), "--x", "1e99999999"], 1),
+            (["lattice", "hecke-type", json.dumps(LAT_Q), "--x", "1E99999999"], 1),
+        ],
+        ids=["basis-entry", "x", "x-upper"],
+    )
+    def test_exponent_literal_is_not_a_field_element(self, argv, code, capsys):
+        # Fraction would build the integer 10^99999999 from an 11-character literal
+        with time_limit(10):
+            assert cli.main(argv) == code
+        assert "not a field element: '1e99999999'" in capsys.readouterr().err.lower()
+
 
 class TestRep:
     def test_invariant_dim(self):

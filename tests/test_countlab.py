@@ -17,6 +17,7 @@ from latslice.countlab import (
     _chain_ends,
     count_chain_fiber,
     count_slice_fiber,
+    enumerate_slice_matrices,
     fit_q_polynomial,
     step_choices,
     suite_central_leading,
@@ -24,7 +25,9 @@ from latslice.countlab import (
     suite_product_fibre,
     verify_suite,
 )
+from latslice import linalg
 from latslice.reptheory import gaussian_binomial
+from latslice.slicecorr import Flag, SlicePoint, target_poly
 
 import oracles
 
@@ -171,6 +174,23 @@ class TestChainCount:
         assert count_chain_fiber(query).count == 456
         assert 0 < len(built) <= 600
 
+    @pytest.mark.parametrize(
+        "types,end,points,want",
+        [
+            ((2, 2), "trivial", (0, 1), 560),
+            ((2, 2), "any", (0, 1), 1225),
+            ((2, 2), "exact-zk", (0, 0), 35),
+            ((2, 2), "exact-zk", (1, 0), 0),
+            ((1, 3), "trivial", (0, 1), 120),
+        ],
+    )
+    def test_first_step_orbit_at_rank_four(self, types, end, points, want):
+        # m=4 over GF(2), beyond test_agrees_with_dfs: a j=2 first step
+        # stands for [4 choose 2]_2 = 35 of them, a j=1 step for 15
+        query = FiberQuery(4, 1, types, points, GF(2), end)
+        assert count_chain_fiber(query).count == want
+        assert oracles.dfs_chain_fiber(query) == (want, None)
+
 
 def _zk_lattice(m, k, F):
     return Lattice(F, PolyMatrix.identity(F, m).scale_poly(Poly.monomial(F, F.one, k)))
@@ -208,7 +228,49 @@ class TestChainEnds:
             assert _chain_ends(m, k, F, points) == expected, points
 
 
+def _trace(Y):
+    return sum(Y.entries[i][i] for i in range(Y.N)) % Y.field.p
+
+
 class TestSliceCount:
+    @pytest.mark.parametrize("m,k,q", [(1, 1, 3), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+    def test_enumeration_at_a_trace_filters_the_full_one(self, m, k, q):
+        F = GF(q)
+        full = list(enumerate_slice_matrices(m, k, F))
+        for t in F.elements():
+            got = list(enumerate_slice_matrices(m, k, F, t))
+            assert got == [Y for Y in full if _trace(Y) == t]
+            assert len(got) == q ** (m * m * k - 1)
+
+    def test_oversized_space_refused_at_any_trace(self):
+        # the limit is on the whole space, q^(m*m*k), with or without a trace
+        for trace in (None, 0):
+            with pytest.raises(ValueError, match=r"holds 3\^18 = 387420489 matrices"):
+                next(enumerate_slice_matrices(3, 2, GF(3), trace))
+        query = FiberQuery(3, 2, (1,) * 6, (0, 1, 2, 0, 1, 2), GF(3), "trivial")
+        with pytest.raises(ValueError, match=r"holds 3\^18 = 387420489 matrices"):
+            count_slice_fiber(query)
+
+    @pytest.mark.parametrize(
+        "m,k,types,points,q",
+        [(2, 1, (1, 1), (0, 1), 3), (2, 1, (1, 1), (1, 1), 3), (3, 1, (1, 2), (1, 0), 2),
+         (2, 2, (1, 1, 1, 1), (0, 1, 0, 1), 2)],
+    )
+    def test_witnesses_in_full_enumeration_order(self, m, k, types, points, q):
+        # the matrices of the full space with the fibre's characteristic
+        # polynomial, in enumeration order, each with its flags in turn
+        F = GF(q)
+        query = FiberQuery(m, k, types, points, F, "trivial")
+        target = target_poly(F, points, types)
+        want = [
+            SlicePoint(Y, Flag(F, Y.N, flags), points)
+            for Y in enumerate_slice_matrices(m, k, F)
+            if linalg.char_poly(F, Y.entries) == target
+            for flags in countlab._stable_flags(Y, points, types)
+        ]
+        report = count_slice_fiber(query, witnesses=True)
+        assert report.count == len(want) > 0
+        assert report.witnesses == want
     def test_anchor_12(self):
         F = GF(3)
         q = FiberQuery(2, 1, (1, 1), (F.zero, F.one), F, "trivial")

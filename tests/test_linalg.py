@@ -2,12 +2,14 @@
 
 import random
 
+import pytest
 import sympy
 
 import oracles
 from latslice import linalg
 from latslice.fields import GF, QQ
 from latslice.reptheory import gaussian_binomial
+from test_slicecorr import random_slice
 
 
 def test_rref_pivots():
@@ -112,3 +114,32 @@ def test_char_poly_matches_sympy():
         expr = sum(int(c) * z**i for i, c in enumerate(got.to_list()))
         expect = sympy.Matrix([[int(e) for e in row] for row in A]).charpoly(z).as_expr()
         assert sympy.expand(expr - expect) == 0
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_char_poly_hessenberg_branches_match_sympy(F):
+    # n = 1..6: dense matrices; the same with a zero subdiagonal entry over a
+    # nonzero one further down (the row/column swap); strictly upper
+    # triangular and block-diagonal matrices (columns with no pivot, and a
+    # zero in the subdiagonal recurrence); and slice matrices at k = 2, 3
+    rng = random.Random(20261018)
+    z = sympy.Symbol("z")
+    entry = lambda: F.from_int(rng.randint(-2, 2))
+    matrices = []
+    for n in range(1, 7):
+        split = rng.randint(1, n)
+        swap = [[entry() for _ in range(n)] for _ in range(n)]
+        if n >= 3:
+            swap[1][0], swap[n - 1][0] = F.zero, F.one
+        matrices += [
+            [[entry() for _ in range(n)] for _ in range(n)],
+            swap,
+            [[entry() if j > i else F.zero for j in range(n)] for i in range(n)],
+            [[entry() if (i < split) == (j < split) else F.zero for j in range(n)] for i in range(n)],
+        ]
+    for m, k in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3)):
+        matrices.append(random_slice(rng, F, m, k).rows())
+    for A in matrices:
+        want = sympy.Matrix([[int(e) for e in row] for row in A]).charpoly(z).all_coeffs()
+        got = linalg.char_poly(F, A)
+        assert list(got.coeffs) == [F.from_int(int(c)) for c in reversed(want)], A
