@@ -253,49 +253,43 @@ def enumerate_slice_matrices(m, k, field, trace=None):
 
 
 def _stable_flags(Y, points, types):
-    """All flags W_1 < ... < W_n compatible with the slice matrix Y: Y-stable
-    steps, scalar x_(n-i+1) and jump pi_(n-i+1) on W_i/W_(i-1)."""
-    field, N = Y.field, Y.N
+    """All flags W_1 < ... < W_n = k^N compatible with the slice matrix Y:
+    Y-stable steps, scalar x_(n-i+1) and jump pi_(n-i+1) on W_i/W_(i-1).
+
+    The walk goes down from W_n = k^N, as a chain goes down from k[z]^m:
+    W_(i-1) is a subspace of W_i of codimension pi_(n-i+1) that contains
+    (Y - x_(n-i+1)) W_i, which makes it Y-stable too; a walk that does not
+    end at W_0 = 0 yields nothing.  W_i is Y-stable, so the images of its
+    columns lie in W_i, and W_i is a reduced column echelon basis, so their
+    entries at its pivot rows are their exact coordinates in it.  A subspace
+    of those coordinates, combined back from W_i's columns, is again in
+    reduced column echelon form."""
+    F, N = Y.field, Y.N
     n = len(points)
 
-    def rec(i, W):
-        if i > n:
-            if len(W) == N:
+    def down(i, W):
+        """The flags [W_1, ..., W_i] that end at W."""
+        if i == 0:
+            if not W:
                 yield []
             return
-        x = points[n - i]
-        d = types[n - i]
-        # quotient by W: coordinates at non-pivot rows
-        pivots = linalg.pivot_rows(field, W)
-        others = [r for r in range(N) if r not in pivots]
-        qmat = []
-        for r in others:
-            e = [field.zero] * N
-            e[r] = field.one
-            img = Y.times_z(e)
-            img = [field.sub(a, field.mul(x, b)) for a, b in zip(img, e)]
-            red = linalg.reduce_mod_subspace(field, W, img)
-            qmat.append([red[t] for t in others])
-        # rows of the induced (Y - x) on the quotient, as columns per r
-        rows = [[qmat[c][r] for c in range(len(others))] for r in range(len(others))]
-        ker = linalg.kernel_basis(field, rows)
-        if len(ker) < d:
-            return
-        for S in linalg.subspaces(field, len(ker), d):
-            lifted = []
-            for col in S:
-                v = [field.zero] * N
-                for c, kv in zip(col, ker):
-                    if c != field.zero:
-                        for t, r in enumerate(others):
-                            v[r] = field.add(v[r], field.mul(c, kv[t]))
-                lifted.append(v)
-            Wnew = linalg.canonical_subspace(field, [list(w) for w in W] + lifted)
-            for rest in rec(i + 1, Wnew):
-                yield [Wnew] + rest
+        x, d = points[n - i], types[n - i]
+        pivots = linalg.pivot_rows(F, W)
+        images = [[F.sub(a, F.mul(x, b)) for a, b in zip(Y.times_z(w), w)] for w in W]
+        coords = [[v[r] for r in pivots] for v in images]
+        for S in linalg.subspaces(F, len(W), len(W) - d, coords):
+            lower = []
+            for s in S:
+                v = [F.zero] * N
+                for c, w in zip(s, W):
+                    if c != F.zero:
+                        v = [F.add(a, F.mul(c, b)) for a, b in zip(v, w)]
+                lower.append(v)
+            for rest in down(i - 1, lower):
+                yield rest + [W]
 
-    for flags in rec(1, []):
-        yield flags
+    identity = [[F.one if r == c else F.zero for r in range(N)] for c in range(N)]
+    yield from down(n, identity)
 
 
 def count_slice_fiber(query, witnesses=False):

@@ -6,8 +6,6 @@ has degree NEG_INF (the documented sentinel for -infinity).
 
 from math import lcm
 
-from .fields import Field
-
 NEG_INF = float("-inf")
 
 

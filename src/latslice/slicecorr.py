@@ -20,7 +20,7 @@ from .lattice import (
     validate_chain,
 )
 from .poly import Poly
-from .polymatrix import PolyMatrix, det
+from .polymatrix import PolyMatrix
 
 
 class SliceMatrix:
@@ -199,10 +199,8 @@ def validate_point(p):
                 )
                 break
         prev = W
-    # block companion identity: char(Y) = det(z^k I - A(z)), an m x m
-    # determinant over k[z] instead of the N x N one of zI - Y
     target = target_poly(F, eig, _jumps_from_dims(dims)[::-1])
-    if det(PolyMatrix.from_cols(F, _monic_basis(Y))) != target:
+    if linalg.char_poly(F, Y.entries) != target:
         failures.append("characteristic polynomial does not match the eigenvalue list")
     return failures
 

@@ -27,7 +27,7 @@ from latslice.countlab import (
 )
 from latslice import linalg
 from latslice.reptheory import gaussian_binomial
-from latslice.slicecorr import Flag, SlicePoint, target_poly
+from latslice.slicecorr import Flag, SlicePoint, slice_to_chain, target_poly, validate_point
 
 import oracles
 
@@ -271,6 +271,24 @@ class TestSliceCount:
         report = count_slice_fiber(query, witnesses=True)
         assert report.count == len(want) > 0
         assert report.witnesses == want
+
+    @pytest.mark.parametrize(
+        "m,k,types,points,q",
+        [(2, 1, (1, 1), (0, 1), 3), (2, 1, (1, 1), (0, 0), 2), (3, 1, (2, 1), (0, 0), 2),
+         (3, 1, (1, 1, 1), (0, 0, 1), 2), (2, 2, (1, 1, 1, 1), (0, 0, 0, 0), 2)],
+    )
+    def test_witnesses_valid_and_matched_to_chains(self, m, k, types, points, q):
+        # every slice witness is a valid point, and the inverse bijection
+        # maps the slice witnesses one-to-one onto the chain witnesses
+        query = FiberQuery(m, k, types, points, GF(q), "trivial")
+        slice_points = count_slice_fiber(query, witnesses=True).witnesses
+        assert slice_points
+        assert all(validate_point(p) == [] for p in slice_points)
+        chains = [slice_to_chain(p) for p in slice_points]
+        assert len(set(chains)) == len(chains)
+        want = count_chain_fiber(query, witnesses=True).witnesses
+        assert len(want) == len(chains)
+        assert set(chains) == set(want)
     def test_anchor_12(self):
         F = GF(3)
         q = FiberQuery(2, 1, (1, 1), (F.zero, F.one), F, "trivial")

@@ -1,6 +1,7 @@
 """The runtime is stdlib-only: every import in the package names latslice
 or a standard-library module, and the project declares no dependencies.
-Every module-level function in the package is used or exported."""
+Every module-level function in the package is used or exported, and every
+name a module imports is read in it."""
 
 import ast
 import collections
@@ -63,3 +64,24 @@ def test_no_dead_helpers():
                 if used[node.name] == inside:
                     dead.append(f"{module}:{node.name}")
     assert dead == []
+
+
+def test_no_unused_imports():
+    # __init__.py imports to export, so it is left out
+    unused = []
+    for path in sorted((ROOT / "src" / "latslice").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{name}")
+    assert unused == []
