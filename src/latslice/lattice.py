@@ -265,32 +265,30 @@ def splitting_type(L):
 def factorize(L, S1, S2):
     """Split L into lattices supported on the disjoint point sets S1, S2.
 
-    L^(i) = L + f_i^c * standard, where f_i is the monic product of (z - x)
-    over S_i and c the total colength; the divisor of L^(i) is the divisor of
-    L restricted to S_i and the two factors intersect back to L.
+    L^(i) = L + g_i * standard, where g_i is the product of (z - x)^v_x(d)
+    over x in S_i and d = det(basis(L)), the product of the monic Hermite
+    diagonal.  Since basis * adj(basis) = d * I with adj(basis) polynomial,
+    d * standard lies in L; so L^(i) = L + f_i^c * standard for f_i the
+    product of (z - x) over S_i and c the colength, as g_i = gcd(d, f_i^c).
+    The divisor of L^(i) is the divisor of L restricted to S_i and the two
+    factors intersect back to L.
 
-    The divisor's support lies in S1 | S2 exactly when d = det(basis(L)),
-    the product of the monic Hermite diagonal (of degree c), divides
-    f1 * f2, so no root search or Smith form is needed.
+    The divisor's support lies in S1 | S2 exactly when g1 * g2 = d, so no
+    root search or Smith form is needed.
     """
     S1, S2 = set(S1), set(S2)
     if S1 & S2:
         raise ValueError("point sets must be disjoint")
     F = L.field
-    c = _diagonal_degree(L)
-    f1, f2 = (Poly.from_roots(F, sorted(S, key=_point_key)) ** c for S in (S1, S2))
     d = prod((L.basis.entry(i, i) for i in range(L.m)), start=Poly.one(F))
-    if not (f1 * f2 % d).is_zero:
+    g1, g2 = (
+        Poly.from_roots(F, [x for x in S for _ in range(d.valuation_at(x))]) for S in (S1, S2)
+    )
+    if g1 * g2 != d:
         raise ValueError("divisor support not covered by the point sets")
-    out = []
-    for f in (f1, f2):
-        scaled = PolyMatrix.identity(F, L.m).scale_poly(f)
-        out.append(lattice_sum(L, Lattice(F, scaled)))
-    return out[0], out[1]
-
-
-def _point_key(x):
-    return (str(type(x)), str(x))
+    return tuple(
+        lattice_sum(L, Lattice(F, PolyMatrix.identity(F, L.m).scale_poly(g))) for g in (g1, g2)
+    )
 
 
 def _check_pair(L1, L2):

@@ -111,7 +111,9 @@ def subspaces(field, n, d, containing=()):
 
     With `containing`, only the subspaces that contain its span I, of rank r:
     the (d-r)-dimensional subspaces of F^n/I, taken at the non-pivot rows of
-    I and lifted, [n-r choose d-r]_q of them and none when r > d."""
+    I and lifted, [n-r choose d-r]_q of them and none when r > d.  Lifted
+    columns vanish at I's pivots, so clearing I's columns at the lifted
+    pivots keeps a reduced basis; merging by pivot row orders it."""
     if not field.is_finite:
         raise ValueError("subspace enumeration needs a finite field")
     if containing:
@@ -127,7 +129,9 @@ def subspaces(field, n, d, containing=()):
                 for r, c in zip(others, col):
                     v[r] = c
                 lifted.append(v)
-            yield canonical_subspace(field, I + lifted)
+            basis = [reduce_mod_subspace(field, lifted, col) for col in I] + lifted
+            rows = pivots + pivot_rows(field, lifted)
+            yield [col for _, col in sorted(zip(rows, basis), key=lambda t: t[0])]
         return
     if d == 0:
         yield []

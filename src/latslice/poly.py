@@ -2,8 +2,15 @@
 
 Coefficients are stored ascending; the zero polynomial is the empty tuple and
 has degree NEG_INF (the documented sentinel for -infinity).
+
+The ring operations work on the coefficients with Python operators, not
+through Field methods.  Over F_p each output coefficient is reduced mod p
+once (a product sums the integer convolution first); over Q a product
+convolves the integer numerators over the lcm of each operand's
+denominators and builds one Fraction per output coefficient.
 """
 
+from fractions import Fraction
 from math import lcm
 
 NEG_INF = float("-inf")
@@ -13,7 +20,7 @@ class Poly:
     def __init__(self, field, coeffs=()):
         self.field = field
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == field.zero:
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
@@ -62,38 +69,62 @@ class Poly:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else self.field.zero
 
     def __add__(self, other):
-        F = self.field
+        p = self.field.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        if p is None:
+            for i, y in enumerate(b):
+                out[i] += y
+        else:
+            for i, y in enumerate(b):
+                out[i] = (out[i] + y) % p
+        return Poly(self.field, out)
 
     def __neg__(self):
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        F = self.field
+        p = F.p
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [F.zero] * (len(b) - len(a))
+        if p is None:
+            for i, y in enumerate(b):
+                out[i] -= y
+        else:
+            for i, y in enumerate(b):
+                out[i] = (out[i] - y) % p
+        return Poly(F, out)
 
     def __mul__(self, other):
         F = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(F)
-        out = [F.zero] * (len(a) + len(b) - 1)
+        p = F.p
+        if p is None:
+            # integer numerators over the common denominators da, db
+            da = lcm(*(c.denominator for c in a))
+            db = lcm(*(c.denominator for c in b))
+            a = [c.numerator * (da // c.denominator) for c in a]
+            b = [c.numerator * (db // c.denominator) for c in b]
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == F.zero:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        for j, c in enumerate(out):
+            out[j] = Fraction(c, da * db) if p is None else c % p
         return Poly(F, out)
 
     def scale(self, c):
-        F = self.field
-        return Poly(F, [F.mul(c, a) for a in self.coeffs])
+        p = self.field.p
+        out = list(self.coeffs)
+        for i, a in enumerate(out):
+            out[i] = c * a if p is None else c * a % p
+        return Poly(self.field, out)
 
     def shift(self, n):
         """Multiply by z^n."""
@@ -111,18 +142,23 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
+        p = F.p
+        rem, b = list(self.coeffs), other.coeffs
+        d = len(b) - 1
         inv_lc = F.inv(other.lc)
         quo = [F.zero] * max(len(rem) - d, 0)
+        # over F_p, rem[i] is reduced once: when it leads, or at the end
         for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == F.zero:
-                continue
-            q = F.mul(c, inv_lc)
-            quo[i - d] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] = F.sub(rem[i - d + j], F.mul(q, b))
+            c = rem[i] if p is None else rem[i] % p
+            if c:
+                q = c * inv_lc if p is None else c * inv_lc % p
+                quo[i - d] = q
+                for j, bj in enumerate(b[:d], i - d):
+                    rem[j] -= q * bj
+        rem = rem[:d]
+        if p is not None:
+            for j, c in enumerate(rem):
+                rem[j] = c % p
         return Poly(F, quo), Poly(F, rem)
 
     def __floordiv__(self, other):

@@ -14,6 +14,8 @@ from latslice.lattice import (
     HeckeType,
     Lattice,
     LatticeChain,
+    colength,
+    lattice_sum,
     quotient_basis_trivial,
     standard_lattice,
 )
@@ -325,3 +327,23 @@ def alternant_invariant_dim(m, weights):
     for x, e in zip(xs, target):
         coeff = coeff.coeff(x, e)
     return int(coeff)
+
+
+# ---------------------------------------------------------------------------
+# Factorization by full powers: L + f_i^c * standard, with f_i the product of
+# (z - x) over S_i and c the colength, and the support check d | f_1^c f_2^c
+# on d = det(basis(L)).  The reference for `lattice.factorize`, which builds
+# the generators of degree at most c from the valuations of d instead.
+
+def factorize_by_powers(L, S1, S2):
+    F = L.field
+    c = colength(standard_lattice(L.m, F), L)
+    f1, f2 = (Poly.from_roots(F, S) ** c for S in (S1, S2))
+    d = Poly.one(F)
+    for i in range(L.m):
+        d = d * L.basis.entry(i, i)
+    if not (f1 * f2 % d).is_zero:
+        raise ValueError("divisor support not covered by the point sets")
+    return tuple(
+        lattice_sum(L, Lattice(F, PolyMatrix.identity(F, L.m).scale_poly(f))) for f in (f1, f2)
+    )

@@ -4,9 +4,12 @@ import contextlib
 import random
 import signal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latslice.fields import GF, QQ
 from latslice.poly import Poly, linear_roots, poly_gcd
@@ -115,6 +118,91 @@ class TestPoly:
         p = P(QQ, 1, 0, 1)  # z^2 + 1
         roots, residual = linear_roots(p)
         assert roots == {} and residual.degree == 2
+
+
+FIELDS = [GF(2), GF(3), GF(5), QQ]
+Z = sympy.Symbol("z")
+
+
+def elements(F):
+    """Field elements; over Q with denominators up to 6, so that operands
+    mix denominators."""
+    if F.is_finite:
+        return st.integers(0, F.p - 1)
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def operand_pairs(draw, F):
+    """(a, b, c): two polynomials of degree < 6, zero included, whose top
+    coefficients often agree up to sign (so that a - b or a + b cancels
+    leading terms), and a scalar c."""
+    a = draw(st.lists(elements(F), max_size=6))
+    b = draw(st.lists(elements(F), max_size=6))
+    shared = draw(st.integers(0, min(len(a), len(b))))
+    sign = draw(st.sampled_from((1, -1)))
+    for i in range(1, shared + 1):
+        b[-i] = F.mul(F.from_int(sign), a[-i])
+    return Poly(F, a), Poly(F, b), draw(elements(F))
+
+
+def to_sympy(p):
+    F = p.field
+    domain = sympy.QQ if F.p is None else sympy.GF(F.p, symmetric=False)
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], Z, domain=domain)
+
+
+def assert_normal(p):
+    """No trailing zero; coefficients ints in range(p), or reduced Fractions."""
+    assert not p.coeffs or p.coeffs[-1] != 0
+    for c in p.coeffs:
+        if p.field.p is None:
+            assert type(c) is Fraction and c.denominator > 0
+            assert gcd(c.numerator, c.denominator) == 1
+        else:
+            assert type(c) is int and 0 <= c < p.field.p
+
+
+class TestPolyKernels:
+    """The coefficient kernels of Poly against sympy Poly over GF(p) and QQ."""
+
+    @pytest.mark.parametrize("F", FIELDS, ids=repr)
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_ring_ops_match_sympy(self, F, data):
+        a, b, c = data.draw(operand_pairs(F))
+        A, B = to_sympy(a), to_sympy(b)
+        scalar = to_sympy(Poly(F, [c]))
+        for got, want in (
+            (a + b, A + B),
+            (a - b, A - B),
+            (b - a, B - A),
+            (-a, -A),
+            (a * b, A * B),
+            (a.scale(c), A * scalar),
+            (a ** 3, A**3),
+            (b ** 0, B**0),
+        ):
+            assert_normal(got)
+            assert to_sympy(got) == want
+
+    @pytest.mark.parametrize("F", FIELDS, ids=repr)
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_divmod_matches_sympy(self, F, data):
+        a, b, _ = data.draw(operand_pairs(F))
+        for num, den in ((a, b), (b, a), (a * b, b), (a * b + a, a)):
+            if den.is_zero:
+                with pytest.raises(ZeroDivisionError):
+                    divmod(num, den)
+                continue
+            q, r = divmod(num, den)
+            assert_normal(q)
+            assert_normal(r)
+            Q, R = to_sympy(num).div(to_sympy(den))
+            assert (to_sympy(q), to_sympy(r)) == (Q, R)
+            assert r.degree < den.degree
 
 
 @contextlib.contextmanager

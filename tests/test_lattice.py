@@ -295,6 +295,32 @@ class TestFactorize:
             assert divisor_of_pair(std, L1) == div.restrict({a})
             assert divisor_of_pair(std, L2) == div.restrict({b})
 
+    @pytest.mark.parametrize("F, m, colength", [(GF(3), 2, 4), (QQ, 3, 9)], ids=["F3", "Q"])
+    def test_agrees_with_full_powers(self, F, m, colength):
+        """Generators of degree at most c from the valuations of d give the
+        factors that f_i^c gives, on the lattice-ops shapes and every split
+        of the colength between 0 and 1; a point set off the support gets
+        the standard lattice, and an uncovered support is refused by both."""
+        rng = random.Random(41)
+        std = standard_lattice(m, F)
+        a, b, off = F.zero, F.one, F.from_int(2)
+        for i in range(colength + 1):
+            L = std
+            for x, c in ((a, i), (b, colength - i)):
+                while c:
+                    j = min(m - 1, c)
+                    L = _random_step(rng, L, x, j)
+                    c -= j
+            for S1, S2 in (({a}, {b}), ({b}, {a}), ({a, b}, set()), ({a, b}, {off})):
+                got = factorize(L, S1, S2)
+                assert got == oracles.factorize_by_powers(L, S1, S2)
+                if off in S2:
+                    assert got == (L, std)
+            uncovered = ({a}, {off}) if colength - i else ({b}, {off})
+            for split in (factorize, oracles.factorize_by_powers):
+                with pytest.raises(ValueError, match="divisor support not covered"):
+                    split(L, *uncovered)
+
 
 class TestChains:
     def chain(self, F):

@@ -102,6 +102,18 @@ def test_subspaces_containing():
                     assert len({key(W) for W in got}) == len(got)
                     assert {key(W) for W in got} == want, (q, n, r, d)
                     assert all(W == linalg.canonical_subspace(F, W) for W in got)
+                    # the same bases in the same order as a full rref of
+                    # I and each lifted quotient subspace
+                    pivots = linalg.pivot_rows(F, I)
+                    others = [i for i in range(n) if i not in pivots]
+                    lifted_order = []
+                    for S in linalg.subspaces(F, len(others), d - r) if r <= d else ():
+                        lifted = [[0] * n for _ in S]
+                        for v, col in zip(lifted, S):
+                            for i, c in zip(others, col):
+                                v[i] = c
+                        lifted_order.append(linalg.canonical_subspace(F, I + lifted))
+                    assert got == lifted_order, (q, n, r, d)
 
 
 def test_char_poly_matches_sympy():
