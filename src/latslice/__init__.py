@@ -56,7 +56,6 @@ from .slicecorr import (
     chain_to_slice,
     slice_to_chain,
     validate_point,
-    validate_slice,
 )
 
 __version__ = "0.1.0"

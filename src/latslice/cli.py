@@ -234,11 +234,15 @@ def _verify_command(args):
     budget = {}
     if args.qs is not None:
         budget["qs"] = tuple(_parse_ints(args.qs))
+        for q in budget["qs"]:
+            Field(q)  # refuses a non-prime q before any suite runs
     if args.max_m is not None:
         # the suite's default grid, cut at m; every entry starts with m
         grid = params["grid"].default
         budget["grid"] = tuple(entry for entry in grid if entry[0] <= args.max_m)
     if args.randoms is not None:
+        if args.randoms < 0:
+            raise ValueError("--randoms must be nonnegative")
         budget["randoms"] = args.randoms
     report = countlab.verify_suite(args.suite, **budget)
     return (0 if report["pass"] else 1), report

@@ -27,7 +27,6 @@ from .slicecorr import (
     Flag,
     SliceMatrix,
     SlicePoint,
-    base_point,
     chain_to_slice,
     slice_to_chain,
     target_poly,
@@ -49,6 +48,8 @@ class FiberQuery:
         self.m = m
         self.k = k
         self.types = types if isinstance(types, WeightSeq) else WeightSeq(m, types)
+        if self.types.m != m:
+            raise ValueError(f"types of rank {self.types.m} in a query of rank {m}")
         self.points = tuple(points)
         self.field = field
         kinds = int if field.is_finite else (int, Fraction)
@@ -237,7 +238,6 @@ def enumerate_slice_matrices(m, k, field, trace=None):
         )
     els = list(field.elements())
     N = m * k
-    prefixes = [row[: N - m] for row in base_point(m, k, field).entries]
     free = m * m * k if trace is None else m * m * k - 1
     # positions in `values` of the diagonal of the last block but its last
     diagonal = [(N - m + i) * m + i for i in range(m - 1)]
@@ -247,9 +247,7 @@ def enumerate_slice_matrices(m, k, field, trace=None):
             for d in diagonal:
                 last = field.sub(last, values[d])
             values += (last,)
-        yield SliceMatrix(
-            m, k, field, [pre + values[i * m : i * m + m] for i, pre in enumerate(prefixes)]
-        )
+        yield SliceMatrix(m, k, field, [values[j::m] for j in range(m)])
 
 
 def _stable_flags(Y, points, types):
@@ -674,7 +672,8 @@ def suite_central_leading(m=2, types=(1, 1, 1, 1), qs=(2, 3, 5), held_out=None):
 
 
 def _suite_report(name, cases):
-    return {"suite": name, "cases": cases, "pass": all(c["pass"] for c in cases)}
+    # a suite that checked nothing has not passed
+    return {"suite": name, "cases": cases, "pass": bool(cases) and all(c["pass"] for c in cases)}
 
 
 SUITES = {

@@ -137,10 +137,12 @@ def parse_slice_point(data, where="slice"):
     ):
         raise PayloadError(f"{where}.Y: expected an {N}x{N} matrix (list of rows)")
     rows = [[parse_point(field, e, f"{where}.Y[{i}][{j}]") for j, e in enumerate(r)] for i, r in enumerate(Y)]
-    try:
-        Ym = SliceMatrix(m, k, field, rows)
-    except ValueError as e:
-        raise PayloadError(f"{where}.Y: {e}") from None
+    Ym = SliceMatrix(m, k, field, [[r[j] for r in rows] for j in range(N - m, N)])
+    if Ym.entries != tuple(map(tuple, rows)):
+        raise PayloadError(
+            f"{where}.Y: not a slice matrix (identity blocks on the block"
+            " subdiagonal, zeros elsewhere outside the last block column)"
+        )
     flag_data = data["flag"]
     if not isinstance(flag_data, list):
         raise PayloadError(f"{where}.flag: expected a list of subspace matrices")

@@ -9,9 +9,10 @@ Flag indexing: W_i is the image of L_(n-i), so the jump of W_i over W_(i-1)
 is pi_(n-i+1) and the scalar action on W_i/W_(i-1) is x_(n-i+1).
 """
 
-from functools import cached_property
+from functools import cache
 
 from . import linalg
+from .fields import Field
 from .lattice import (
     Lattice,
     LatticeChain,
@@ -24,41 +25,24 @@ from .polymatrix import PolyMatrix
 
 
 class SliceMatrix:
-    """An N x N matrix (N = m*k).  In the slice it has identity m x m blocks
-    on the first subdiagonal, an arbitrary last block column and zeros
-    elsewhere; the entries stay general so that a malformed matrix read from
-    input can be reported by validate_slice."""
+    """An N x N matrix (N = m*k) in the slice: identity m x m blocks on the
+    first subdiagonal, zeros elsewhere, and the free last block column,
+    given as its m columns q_1..q_m of length N.  The dense rows `entries`
+    are derived from it."""
 
-    def __init__(self, m, k, field, entries):
+    def __init__(self, m, k, field, block):
         self.m = m
         self.k = k
         self.N = m * k
         self.field = field
-        self.entries = tuple(tuple(row) for row in entries)
-        if len(self.entries) != self.N or any(len(r) != self.N for r in self.entries):
-            raise ValueError("entries must be N x N")
-
-    @classmethod
-    def from_block_column(cls, m, k, field, block):
-        """The slice matrix whose last block column is block, given as its m
-        columns q_1..q_m of length N."""
-        N = m * k
-        one, zero = field.one, field.zero
-        rows = [
-            [one if r == c + m else zero for c in range(N - m)] + [qj[r] for qj in block]
-            for r in range(N)
-        ]
-        return cls(m, k, field, rows)
-
-    @cached_property
-    def block_column(self):
-        """The last block column as its m columns q_1..q_m of length N."""
-        N, m = self.N, self.m
-        return tuple(tuple(row[N - m + j] for row in self.entries) for j in range(m))
+        self.block_column = block = tuple(map(tuple, block))
+        if len(block) != m or set(map(len, block)) != {self.N}:
+            raise ValueError("the block column must be m columns of length N")
+        self.entries = tuple(map(tuple.__add__, _pattern(m, k, field.p), zip(*block)))
 
     def times_z(self, w):
-        """Y w for a matrix with the slice pattern: every block of w moves down
-        one, and its last block combines the block column (z^k e_j is q_j)."""
+        """Y w: every block of w moves down one, and its last block combines
+        the block column (z^k e_j is q_j)."""
         F, m, N = self.field, self.m, self.N
         out = [F.zero] * m + list(w[: N - m])
         for qj, c in zip(self.block_column, w[N - m :]):
@@ -66,21 +50,29 @@ class SliceMatrix:
                 out = [F.add(a, F.mul(c, b)) for a, b in zip(out, qj)]
         return out
 
-    def rows(self):
-        return [list(r) for r in self.entries]
-
     def __eq__(self, other):
         return (
             isinstance(other, SliceMatrix)
             and (self.m, self.k, self.field) == (other.m, other.k, other.field)
-            and self.entries == other.entries
+            and self.block_column == other.block_column
         )
 
     def __hash__(self):
-        return hash((self.m, self.k, self.field, self.entries))
+        return hash((self.m, self.k, self.field, self.block_column))
 
     def __repr__(self):
-        return f"SliceMatrix(m={self.m}, k={self.k}, entries={self.entries})"
+        return f"SliceMatrix(m={self.m}, k={self.k}, block_column={self.block_column})"
+
+
+@cache
+def _pattern(m, k, p):
+    """The first N - m entries of each row of a slice matrix over the field
+    of characteristic p: the identity blocks on the subdiagonal and zeros
+    elsewhere.  Keyed by p, which hashes faster than a Field."""
+    field, N = Field(p), m * k
+    return tuple(
+        tuple(field.one if r == c + m else field.zero for c in range(N - m)) for r in range(N)
+    )
 
 
 class Flag:
@@ -143,13 +135,7 @@ def base_point(m, k, field):
     last block column; multiplication by z on k[z]^m / z^k k[z]^m."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
-    return SliceMatrix.from_block_column(m, k, field, [[field.zero] * (m * k)] * m)
-
-
-def validate_slice(Y):
-    """Does the block pattern hold (identity subdiagonal blocks, arbitrary
-    last block column, zeros elsewhere)?"""
-    return Y == SliceMatrix.from_block_column(Y.m, Y.k, Y.field, Y.block_column)
+    return SliceMatrix(m, k, field, [[field.zero] * (m * k)] * m)
 
 
 def target_poly(field, points, types):
@@ -158,24 +144,17 @@ def target_poly(field, points, types):
 
 
 def validate_point(p):
-    """Check every invariant of a slice point; returns failure strings.  On a
-    matrix without the slice pattern only the pattern and the shape of the
-    flag are checked."""
+    """Check every invariant of a slice point; returns failure strings."""
     failures = []
     Y, flag, eig = p.Y, p.flag, p.eigenvalues
     F = Y.field
     n = len(eig)
-    pattern_ok = validate_slice(Y)
-    if not pattern_ok:
-        failures.append("matrix does not have the slice block pattern")
     if len(flag) != n:
         failures.append(f"flag has {len(flag)} steps but {n} eigenvalues")
         return failures
     dims = flag.dims()
     if dims and dims[-1] != Y.N:
         failures.append("flag does not end at the full space")
-    if not pattern_ok:
-        return failures
     prev = []
     for i in range(1, n + 1):
         W = flag.subspace(i - 1)
@@ -252,7 +231,7 @@ def chain_to_slice(chain):
     q = slice_column(chain.end, k)  # validation makes the colength N
     if q is None:
         raise ValueError("monomial classes are not a basis of the quotient")
-    Y = SliceMatrix.from_block_column(m, k, F, q)
+    Y = SliceMatrix(m, k, F, q)
 
     def monomial_coords(vec):
         w = [F.zero] * N

@@ -50,6 +50,19 @@ POINT = json.dumps(
     }
 )
 
+# m=2, k=2 over F_2: the base point with entry (0, 0) set, which the slice
+# pattern fixes at 0 when k > 1
+OFF_PATTERN = json.dumps(
+    {
+        "field": "Fp:2",
+        "m": 2,
+        "k": 2,
+        "Y": [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
+        "flag": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]],
+        "eigenvalues": [1],
+    }
+)
+
 class TestLattice:
     def test_hecke_type(self):
         proc = run("lattice", "hecke-type", "--x", "0", LAT)
@@ -160,6 +173,11 @@ class TestChainSlice:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+
+    @pytest.mark.parametrize("subcommand", ["validate", "to-chain"])
+    def test_off_pattern_matrix_exit_2(self, subcommand, capsys):
+        assert cli.main(["slice", subcommand, OFF_PATTERN]) == 2
+        assert "error: slice.Y: not a slice matrix" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -285,17 +303,39 @@ class TestVerify:
         proc = run("verify", "no-such-suite")
         assert proc.returncode != 0
 
-    def test_ignored_flags_exit_1(self, capsys):
+    def test_ignored_flags_exit_1(self, capsys, monkeypatch):
         # in process; each is refused before any suite runs
-        for suite, flags in (
-            ("central-leading", ["--max-m", "1"]),
-            ("central-leading", ["--randoms", "3"]),
-            ("counts-equal", ["--randoms", "3"]),
-            ("all", ["--qs", "2"]),
-            ("all", ["--max-m", "1"]),
-            ("all", ["--randoms", "3"]),
+        def no_suite(name, **budget):
+            raise AssertionError(f"suite {name} ran")
+
+        monkeypatch.setattr(cli.countlab, "verify_suite", no_suite)
+        ignored = "{} does not apply to the '{}' suite"
+        for suite, flags, message in (
+            ("central-leading", ["--max-m", "1"], ignored),
+            ("central-leading", ["--randoms", "3"], ignored),
+            ("counts-equal", ["--randoms", "3"], ignored),
+            ("all", ["--qs", "2"], ignored),
+            ("all", ["--max-m", "1"], ignored),
+            ("all", ["--randoms", "3"], ignored),
+            ("roundtrip", ["--randoms", "-1"], "--randoms must be nonnegative"),
+            ("roundtrip", ["--qs", "3,4"], "characteristic 4 is not prime"),
         ):
             assert cli.main(["verify", suite, *flags]) == 1
             err = capsys.readouterr().err
-            assert f"{flags[0]} does not apply to the '{suite}' suite" in err
+            assert message.format(flags[0], suite) in err
+        monkeypatch.undo()
         assert cli.main(["verify", "central-leading", "--qs", "2,3,5"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triviality-agree", "--max-m", "1"],
+            ["counts-equal", "--max-m", "0"],
+            ["counts-equal", "--qs", ""],
+        ],
+        ids=["triviality-agree-max-m-1", "counts-equal-max-m-0", "counts-equal-no-qs"],
+    )
+    def test_suite_without_cases_fails(self, argv, capsys):
+        assert cli.main(["verify", *argv]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["cases"] == [] and report["pass"] is False

@@ -23,10 +23,11 @@ from latslice.countlab import (
     suite_central_leading,
     suite_counts_equal,
     suite_product_fibre,
+    suite_triviality_agree,
     verify_suite,
 )
 from latslice import linalg
-from latslice.reptheory import gaussian_binomial
+from latslice.reptheory import WeightSeq, gaussian_binomial
 from latslice.slicecorr import Flag, SlicePoint, slice_to_chain, target_poly, validate_point
 
 import oracles
@@ -106,6 +107,13 @@ class TestChainCount:
         F = GF(3)
         with pytest.raises(ValueError, match="k must be positive"):
             FiberQuery(2, 0, (1, 1), (F.zero, F.one), F, "any")
+
+    def test_weight_seq_of_another_rank_rejected(self):
+        # a type-2 step at rank 2 is no step; step_choices refuses it too
+        F = GF(3)
+        with pytest.raises(ValueError, match="types of rank 3 in a query of rank 2"):
+            FiberQuery(2, 1, WeightSeq(3, (2,)), (F.zero,), F, "any")
+        assert FiberQuery(3, 1, WeightSeq(3, (2,)), (F.zero,), F, "any").types.m == 3
 
     def test_non_field_points_rejected(self):
         for field, point in ((GF(3), 0.5), (GF(3), True), (GF(3), "1"), (QQ, 0.5), (QQ, False)):
@@ -401,6 +409,12 @@ class TestSuites:
         assert samples == [(q, oracles.tree_walk_count(q, 8)) for q in (2, 3, 5, 7, 11)]
         assert [c for _, c in samples] == [543, 2092, 12786, 44248, 244740]
         assert [c["actual"] for c in report["cases"][1:]] == [4, 14]
+
+    def test_suite_without_cases_fails(self):
+        assert suite_triviality_agree(grid=())["pass"] is False
+        assert suite_counts_equal(grid=(), qs=(2,))["pass"] is False
+        assert suite_counts_equal(qs=())["pass"] is False
+        assert suite_product_fibre(grid=())["pass"] is False
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

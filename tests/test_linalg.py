@@ -150,7 +150,7 @@ def test_char_poly_hessenberg_branches_match_sympy(F):
             [[entry() if (i < split) == (j < split) else F.zero for j in range(n)] for i in range(n)],
         ]
     for m, k in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3)):
-        matrices.append(random_slice(rng, F, m, k).rows())
+        matrices.append(random_slice(rng, F, m, k).entries)
     for A in matrices:
         want = sympy.Matrix([[int(e) for e in row] for row in A]).charpoly(z).all_coeffs()
         got = linalg.char_poly(F, A)

@@ -1,5 +1,7 @@
 """JSON payload parsing: strictness, error naming, roundtrips."""
 
+import random
+
 import pytest
 
 from latslice.fields import GF, QQ
@@ -13,6 +15,8 @@ from latslice.serialize import (
     parse_slice_point,
     slice_point_to_json,
 )
+from latslice.slicecorr import Flag, SlicePoint, base_point
+from test_slicecorr import random_slice
 
 
 LAT = {"field": "Fp:3", "m": 2, "basis": [[[0, 1], [0]], [[1], [0, 1]]]}
@@ -95,6 +99,38 @@ class TestSlicePoint:
         rec.pop("flag")
         with pytest.raises(PayloadError, match="flag"):
             parse_slice_point(rec)
+
+
+class TestSlicePattern:
+    """The slice pattern is checked where a dense Y enters: every entry
+    outside the last block column is fixed."""
+
+    def record(self, Y):
+        F = Y.field
+        full = [[F.one if i == j else F.zero for j in range(Y.N)] for i in range(Y.N)]
+        return slice_point_to_json(SlicePoint(Y, Flag(F, Y.N, [full]), (F.one,)))
+
+    def test_slice_matrix_parses(self):
+        F = GF(3)
+        for Y in (base_point(2, 2, F), random_slice(random.Random(5), F, 2, 2)):
+            assert parse_slice_point(self.record(Y)).Y == Y
+
+    def test_k_one_accepts_every_matrix(self):
+        F = GF(3)
+        rec = self.record(base_point(2, 1, F))
+        for a in range(3):
+            rec["Y"] = [[a, 1], [2, 0]]
+            assert parse_slice_point(rec).Y.block_column == ((a, 2), (1, 0))
+
+    def test_entry_outside_the_block_column_refused(self):
+        F = GF(3)
+        rec = self.record(random_slice(random.Random(5), F, 2, 2))
+        for i in range(4):
+            for j in range(2):
+                bad = [list(row) for row in rec["Y"]]
+                bad[i][j] = F.add(bad[i][j], F.one)
+                with pytest.raises(PayloadError, match=r"slice\.Y: not a slice matrix"):
+                    parse_slice_point(dict(rec, Y=bad))
 
 
 def slice_point_to_json_from_chain():

@@ -19,7 +19,6 @@ from latslice.slicecorr import (
     chain_to_slice,
     slice_to_chain,
     validate_point,
-    validate_slice,
 )
 from latslice.countlab import FiberQuery, count_chain_fiber, _random_trivial_chain
 
@@ -37,7 +36,7 @@ def lat(field, cols):
 def random_slice(rng, F, m, k):
     """A slice matrix with a seeded random last block column."""
     block = [[F.from_int(rng.randint(-2, 2)) for _ in range(m * k)] for _ in range(m)]
-    return SliceMatrix.from_block_column(m, k, F, block)
+    return SliceMatrix(m, k, F, block)
 
 
 def worked_chain(F):
@@ -70,27 +69,6 @@ class TestBasePoint:
         assert [list(r) for r in E.entries] == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
 
-class TestValidateSlice:
-    def test_base_point_ok(self):
-        assert validate_slice(base_point(2, 2, GF(3)))
-
-    def test_k_one_always_ok(self):
-        F = GF(3)
-        for a in range(3):
-            Y = SliceMatrix(2, 1, F, [[a, 1], [2, 0]])
-            assert validate_slice(Y)
-
-    def test_bad_block(self):
-        # every entry outside the last block column is fixed by the pattern
-        F = GF(3)
-        Y = random_slice(random.Random(5), F, 2, 2)
-        for i in range(4):
-            for j in range(2):
-                rows = Y.rows()
-                rows[i][j] = F.add(rows[i][j], F.one)
-                assert not validate_slice(SliceMatrix(2, 2, F, rows))
-
-
 class TestSliceMatrix:
     @pytest.mark.parametrize("F", [GF(5), QQ], ids=["GF5", "QQ"])
     def test_times_z_is_the_dense_product(self, F):
@@ -100,14 +78,30 @@ class TestSliceMatrix:
                 m = rng.randint(1, 3)
                 Y = random_slice(rng, F, m, k)
                 w = [F.from_int(rng.randint(-2, 2)) for _ in range(m * k)]
-                assert Y.times_z(w) == oracles.mat_vec(F, Y.rows(), w)
+                assert Y.times_z(w) == oracles.mat_vec(F, Y.entries, w)
 
-    def test_block_column_gives_back_the_matrix(self):
+    def test_block_of_another_shape_rejected(self):
+        # a dense N x N matrix is no block column once k > 1
+        F = GF(3)
+        rows = [[F.zero] * 4 for _ in range(4)]
+        with pytest.raises(ValueError, match="m columns of length N"):
+            SliceMatrix(2, 2, F, rows)
+        with pytest.raises(ValueError, match="m columns of length N"):
+            SliceMatrix(2, 2, F, [[F.zero] * 4, [F.zero] * 3])
+
+    def test_entries_have_the_slice_pattern(self):
         rng = random.Random(53)
         for F in (GF(5), QQ):
             for m, k in ((1, 1), (2, 1), (2, 3), (3, 2)):
                 Y = random_slice(rng, F, m, k)
-                assert SliceMatrix.from_block_column(m, k, F, Y.block_column) == Y
+                N = m * k
+                for r, row in enumerate(Y.entries):
+                    assert len(row) == N
+                    for c, e in enumerate(row):
+                        if c >= N - m:
+                            assert e == Y.block_column[c - (N - m)][r]
+                        else:
+                            assert e == (F.one if r == c + m else F.zero)
 
 
 class TestCharPoly:
@@ -119,12 +113,12 @@ class TestCharPoly:
             for _ in range(6):
                 Y = random_slice(rng, F, rng.randint(1, 3), k)
                 monic = det(PolyMatrix.from_cols(F, _monic_basis(Y)))
-                assert monic == linalg.char_poly(F, Y.rows())
+                assert monic == linalg.char_poly(F, Y.entries)
 
 
 class TestValidatePoint:
     def point(self, F, line):
-        Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])
+        Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])  # columns of Y = diag(0, 1)
         flag = Flag(F, 2, [line, [[F.one, F.zero], [F.zero, F.one]]])
         return SlicePoint(Y, flag, (F.zero, F.one))
 
@@ -140,30 +134,18 @@ class TestValidatePoint:
             "flag step 2: Y does not act by the recorded scalar on the quotient",
         ]
 
-    def test_malformed_matrix_skips_char_poly(self):
-        # only the pattern and the shape of the flag are checked: Y does not
-        # act by 1 on the full space, and that is not reported
-        F = GF(2)
-        rows = base_point(2, 2, F).rows()
-        rows[0][0] = F.one  # block (1,1) must be zero when k = 2
-        Y = SliceMatrix(2, 2, F, rows)
-        full = [[F.one if i == j else F.zero for j in range(4)] for i in range(4)]
-        pattern = "matrix does not have the slice block pattern"
-        assert validate_point(SlicePoint(Y, Flag(F, 4, [full]), (F.one,))) == [pattern]
-        assert validate_point(SlicePoint(Y, Flag(F, 4, [full[:3]]), (F.one,))) == [
-            pattern,
-            "flag does not end at the full space",
-        ]
-        assert validate_point(SlicePoint(Y, Flag(F, 4, [full]), (F.one, F.one))) == [
-            pattern,
-            "flag has 1 steps but 2 eigenvalues",
-        ]
+    def test_flag_length_mismatch_reported(self):
+        # the flag has one step per eigenvalue; nothing else is checked
+        F = GF(3)
+        p = self.point(F, [[F.zero, F.one]])
+        short = SlicePoint(p.Y, p.flag, (F.zero,))
+        assert validate_point(short) == ["flag has 2 steps but 1 eigenvalues"]
 
     def test_char_poly_mismatch_reported(self):
         # a partial flag: one stable line on which Y acts by 1, so only the
         # full-space and characteristic polynomial checks fail
         F = GF(3)
-        Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])
+        Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])  # columns of Y = diag(0, 1)
         p = SlicePoint(Y, Flag(F, 2, [[[F.zero, F.one]]]), (F.one,))
         assert validate_point(p) == [
             "flag does not end at the full space",
@@ -208,7 +190,7 @@ class TestChainToSlice:
 class TestSliceToChain:
     def test_worked_example_inverse(self):
         F = GF(3)
-        Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])
+        Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])  # columns of Y = diag(0, 1)
         flag = Flag(F, 2, [[[F.zero, F.one]], [[F.one, F.zero], [F.zero, F.one]]])
         chain = slice_to_chain(SlicePoint(Y, flag, (F.zero, F.one)))
         assert chain == worked_chain(F)
@@ -228,7 +210,7 @@ class TestSliceToChain:
 
     def test_invalid_point_rejected(self):
         F = GF(3)
-        Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])
+        Y = SliceMatrix(2, 1, F, [[F.zero, F.zero], [F.zero, F.one]])  # columns of Y = diag(0, 1)
         flag = Flag(F, 2, [[[F.one, F.one]], [[F.one, F.zero], [F.zero, F.one]]])
         with pytest.raises(ValueError):
             slice_to_chain(SlicePoint(Y, flag, (F.zero, F.one)))
