@@ -131,7 +131,7 @@ class Field:
         return isinstance(other, Field) and self.p == other.p
 
     def __hash__(self):
-        return hash(("Field", self.p))
+        return hash(self.p)
 
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"

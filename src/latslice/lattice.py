@@ -6,6 +6,7 @@ Lattices are stored by their canonical Hermite basis, so equality is
 structural and independent of the presenting generators.
 """
 
+from functools import cache
 from math import prod
 
 from . import linalg
@@ -98,6 +99,7 @@ class Lattice:
         return f"Lattice(m={self.m}, basis={self.basis!r})"
 
 
+@cache  # one k[z]^m per rank and field: a Lattice is never mutated
 def standard_lattice(m, field):
     if m < 1:
         raise ValueError("rank must be positive")
@@ -112,20 +114,13 @@ def transition_matrix(outer, inner):
     upper triangular with monic diagonal, so each step is an exact division
     by a monic pivot and a remainder means the entry is not polynomial."""
     _check_pair(outer, inner)
-    cols = _back_substitute(outer.basis, inner.basis.columns())
-    return None if cols is None else PolyMatrix.from_cols(outer.field, cols)
-
-
-def _back_substitute(H, vecs):
-    """The polynomial solutions t of H*t = v, one per v in vecs, for H upper
-    triangular with monic diagonal; None when a division is inexact."""
-    out = []
-    for v in vecs:
-        t, r = _divide(H, v)
+    cols = []
+    for v in inner.basis.columns():
+        t, r = _divide(outer.basis, v)
         if any(not p.is_zero for p in r):
             return None
-        out.append(t)
-    return out
+        cols.append(t)
+    return PolyMatrix.from_cols(outer.field, cols)
 
 
 def _divide(H, v):
@@ -340,28 +335,27 @@ def validate_chain(chain):
     means valid).  Step i must be a containment of colength pi_i whose whole
     Hecke type is omega_(pi_i) concentrated at x_i.
 
-    Given the colength, that type is the sandwich (z - x_i) L_(i-1) <= L_i
-    <= L_(i-1): the quotient is then a k[z]/(z - x_i)-module of dimension
-    pi_i.  Both containments are back-substitutions against Hermite bases
-    and the colength is a difference of Hermite-diagonal degrees, so no
-    determinant or Smith form is computed."""
+    With T the transition from L_(i-1) to L_i, containment is T being
+    polynomial and the colength is deg det T, a difference of Hermite-
+    diagonal degrees.  Given both, with j = pi_i and x = x_i, the type is
+    omega_j at x iff rank T(x) = m - j.  T(x) has the rank of d_1(x)..d_m(x)
+    for d the invariant factors of T, so exactly j of them vanish at x;
+    their degrees sum to at most deg det T = j, so each is z - x, the rest
+    are units and the quotient is (k[z]/(z - x))^j.  Conversely that type
+    makes the invariant factors j copies of z - x and m - j units.  No
+    determinant or Smith form is computed, and T is built once a step."""
     failures = []
-    prev = standard_lattice(chain.m, chain.field)
+    F, m = chain.field, chain.m
+    prev = standard_lattice(m, F)
     for i, (x, j, L) in enumerate(zip(chain.points, chain.types, chain.lattices), 1):
-        if not contains(prev, L):
+        T = transition_matrix(prev, L)
+        if T is None:
             failures.append(f"step {i}: L_{i} is not contained in L_{i-1}")
         elif (c := _diagonal_degree(L) - _diagonal_degree(prev)) != j:
             failures.append(f"step {i}: colength {c} != type {j}")
-        elif not _contains_shifted(L, prev, x):
+        elif linalg.rank(F, [[p.eval(x) for p in T.row(r)] for r in range(m)]) != m - j:
             failures.append(
                 f"step {i}: modification is not omega_{j} concentrated at the marked point"
             )
         prev = L
     return failures
-
-
-def _contains_shifted(inner, outer, x):
-    """True iff (z - x) * outer is a sublattice of inner."""
-    F = outer.field
-    shifted = outer.basis.scale_poly(Poly(F, (F.neg(x), F.one)))
-    return _back_substitute(inner.basis, shifted.columns()) is not None

@@ -7,7 +7,8 @@ The ring operations work on the coefficients with Python operators, not
 through Field methods.  Over F_p each output coefficient is reduced mod p
 once (a product sums the integer convolution first); over Q a product
 convolves the integer numerators over the lcm of each operand's
-denominators and builds one Fraction per output coefficient.
+denominators, a division eliminates on integer numerators over one common
+denominator, and each builds one Fraction per output coefficient.
 """
 
 from fractions import Fraction
@@ -143,23 +144,46 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
         p = F.p
+        if p is None:
+            return self._divmod_q(other.coeffs)
         rem, b = list(self.coeffs), other.coeffs
         d = len(b) - 1
         inv_lc = F.inv(other.lc)
         quo = [F.zero] * max(len(rem) - d, 0)
-        # over F_p, rem[i] is reduced once: when it leads, or at the end
+        # rem[i] is reduced once: when it leads, or at the end
         for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] if p is None else rem[i] % p
+            c = rem[i] % p
             if c:
-                q = c * inv_lc if p is None else c * inv_lc % p
+                q = c * inv_lc % p
                 quo[i - d] = q
                 for j, bj in enumerate(b[:d], i - d):
                     rem[j] -= q * bj
-        rem = rem[:d]
-        if p is not None:
-            for j, c in enumerate(rem):
-                rem[j] = c % p
-        return Poly(F, quo), Poly(F, rem)
+        return Poly(F, quo), Poly(F, [c % p for c in rem[:d]])
+
+    def _divmod_q(self, b):
+        """divmod over Q by the coefficients b, with self = R/s, b = B/e on
+        integer numerators: a step takes the quotient coefficient
+        R_i e / (s l), l = B[-1], and sets R to l R - R_i B z^(i-d) over s l."""
+        F, d = self.field, len(b) - 1
+        if len(self.coeffs) <= d:
+            return Poly(F), self
+        s = lcm(*(c.denominator for c in self.coeffs))
+        e = lcm(*(c.denominator for c in b))
+        R = [c.numerator * (s // c.denominator) for c in self.coeffs]
+        B = [c.numerator * (e // c.denominator) for c in b]
+        lead = B[-1]
+        quo = [F.zero] * max(len(R) - d, 0)
+        for i in range(len(R) - 1, d - 1, -1):
+            c = R[i]
+            if c:
+                quo[i - d] = Fraction(c * e, s * lead)
+                if lead != 1:
+                    for j in range(i):
+                        R[j] *= lead
+                    s *= lead
+                for j, bj in enumerate(B[:d], i - d):
+                    R[j] -= c * bj
+        return Poly(F, quo), Poly(F, [Fraction(c, s) for c in R[:d]])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

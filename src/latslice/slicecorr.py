@@ -155,18 +155,25 @@ def validate_point(p):
     dims = flag.dims()
     if dims and dims[-1] != Y.N:
         failures.append("flag does not end at the full space")
-    prev = []
+    prev, stable = [], True
     for i in range(1, n + 1):
         W = flag.subspace(i - 1)
         x = eig[n - i]  # scalar on W_i/W_(i-1) is x_(n-i+1)
         if len(W) <= len(prev):
             failures.append(f"flag step {i}: inclusion is not strict")
+        cols = W
         if not all(linalg.subspace_contains(F, W, list(col)) for col in prev):
             failures.append(f"flag step {i}: flag is not increasing")
-        images = [Y.times_z(col) for col in W]
-        if not all(linalg.subspace_contains(F, W, img) for img in images):
+        elif stable:
+            # W_(i-1) <= W_i is Y-stable: image only the columns of W_i at new
+            # pivot rows, which span W_i modulo W_(i-1)
+            old = set(linalg.pivot_rows(F, prev))
+            cols = [c for c, r in zip(W, linalg.pivot_rows(F, W)) if r not in old]
+        images = [Y.times_z(col) for col in cols]
+        stable = all(linalg.subspace_contains(F, W, img) for img in images)
+        if not stable:
             failures.append(f"flag step {i}: subspace is not Y-stable")
-        for col, img in zip(W, images):
+        for col, img in zip(cols, images):
             shifted = [F.sub(a, F.mul(x, b)) for a, b in zip(img, col)]
             if prev:
                 ok = linalg.subspace_contains(F, prev, shifted)

@@ -21,6 +21,7 @@ from latslice.lattice import (
 )
 from latslice.poly import Poly, linear_roots
 from latslice.polymatrix import PolyMatrix, det, smith_normal_form
+from latslice.slicecorr import target_poly
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +67,8 @@ def cramer_transition(outer, inner):
 # ---------------------------------------------------------------------------
 # Divisor-based chain check: colength from deg det(T) and the whole coloured
 # divisor of each step from the Smith form of T, compared with omega_j at the
-# marked point.  The lattice module checks the sandwich (z-x) L' <= L <= L'
-# instead.
+# marked point.  The lattice module tests rank T(x) = m - j on the
+# back-substituted transition instead.
 
 def divisor_step_failures(chain):
     """Failure strings of a chain, in the wording of validate_chain."""
@@ -101,6 +102,48 @@ def _smith_divisor(T):
             for x in roots
         }
     )
+
+
+# ---------------------------------------------------------------------------
+# Flag check that images every column of every W_i under Y and tests each
+# image for stability and for the scalar on W_i/W_(i-1).  The slice module
+# images only the columns of W_i at pivot rows new over W_(i-1) once that
+# step is known to be Y-stable and contained in W_i.
+
+def every_column_point_failures(p):
+    """Failure strings of a slice point, in the wording of validate_point."""
+    failures = []
+    Y, flag, eig = p.Y, p.flag, p.eigenvalues
+    F = Y.field
+    n = len(eig)
+    if len(flag) != n:
+        return [f"flag has {len(flag)} steps but {n} eigenvalues"]
+    dims = flag.dims()
+    if dims and dims[-1] != Y.N:
+        failures.append("flag does not end at the full space")
+    prev = []
+    for i in range(1, n + 1):
+        W = flag.subspace(i - 1)
+        x = eig[n - i]
+        if len(W) <= len(prev):
+            failures.append(f"flag step {i}: inclusion is not strict")
+        if not all(linalg.subspace_contains(F, W, list(col)) for col in prev):
+            failures.append(f"flag step {i}: flag is not increasing")
+        images = [mat_vec(F, Y.entries, col) for col in W]
+        if not all(linalg.subspace_contains(F, W, img) for img in images):
+            failures.append(f"flag step {i}: subspace is not Y-stable")
+        for col, img in zip(W, images):
+            shifted = [F.sub(a, F.mul(x, b)) for a, b in zip(img, col)]
+            if not linalg.subspace_contains(F, prev, shifted):
+                failures.append(
+                    f"flag step {i}: Y does not act by the recorded scalar on the quotient"
+                )
+                break
+        prev = W
+    jumps = [d - e for d, e in zip(dims, [0] + dims)]
+    if linalg.char_poly(F, Y.entries) != target_poly(F, eig, jumps[::-1]):
+        failures.append("characteristic polynomial does not match the eigenvalue list")
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,18 @@ class TestValidateChainAgainstDivisors:
                 "step 1: modification is not omega_2 concentrated at the marked point"
             ]
 
+    @pytest.mark.parametrize(
+        "F, shift", [(QQ, -2), (GF(3), 1)], ids=["QQ-z2-2", "GF3-z2+1"]
+    )
+    def test_colength_two_steps_without_roots(self, F, shift):
+        # span((z^2 + shift) e1, e2, e3): det has no root in the field
+        L = lat(F, [[(shift, 0, 1), (0,), (0,)], [(0,), (1,), (0,)], [(0,), (0,), (1,)]])
+        for x in (F.zero, F.one):
+            chain = LatticeChain(3, F, (x,), (2,), (L,))
+            assert validate_chain(chain) == oracles.divisor_step_failures(chain) == [
+                "step 1: modification is not omega_2 concentrated at the marked point"
+            ]
+
 
 class TestTrivialityAgainstSmith:
     """Reduction modulo the Hermite basis against the Smith presentation it

@@ -231,3 +231,56 @@ class TestRoundtrip:
                     assert validate_point(p) == []
                     assert slice_to_chain(p) == chain
                     assert chain_to_slice(slice_to_chain(p)) == p
+
+
+def corrupted_points(rng, p):
+    """Copies of p with one flag step changed: W_i replaced by another
+    subspace of its dimension that contains W_(i-1), or by any subspace of
+    its dimension; and copies with two eigenvalues swapped."""
+    F, N, flag = p.Y.field, p.Y.N, p.flag
+    n = len(flag)
+    for i in range(n - 1):
+        prev = flag.subspace(i - 1) if i else []
+        dim = flag.dims()[i]
+        for keep in (prev, []):
+            W = []
+            while len(W) != dim:
+                extra = [
+                    [F.from_int(rng.randint(-2, 2)) for _ in range(N)]
+                    for _ in range(dim - len(keep))
+                ]
+                W = linalg.canonical_subspace(F, keep + extra)
+            subspaces = [flag.subspace(t) for t in range(n)]
+            subspaces[i] = W
+            yield SlicePoint(p.Y, Flag(F, N, subspaces), p.eigenvalues)
+    eig = list(p.eigenvalues)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if eig[a] != eig[b]:
+                swapped = eig[:]
+                swapped[a], swapped[b] = eig[b], eig[a]
+                yield SlicePoint(p.Y, flag, swapped)
+
+
+class TestValidatePointAgainstEveryColumn:
+    """Imaging the new columns of each step against imaging every column,
+    on seeded points from chain_to_slice with one flag step corrupted."""
+
+    @pytest.mark.parametrize("F", [GF(3), GF(5), QQ], ids=["GF3", "GF5", "QQ"])
+    def test_corrupted_flags(self, F):
+        rng = random.Random(59)
+        verdicts = []
+        for m, k, types in ((2, 1, (1, 1)), (2, 2, (1, 1, 1, 1)), (3, 1, (1, 2)), (3, 1, (1, 1, 1))):
+            produced = 0
+            while produced < 4:
+                chain = _random_trivial_chain(rng, m, k, types, F)
+                if chain is None:
+                    continue
+                produced += 1
+                p = chain_to_slice(chain)
+                assert validate_point(p) == oracles.every_column_point_failures(p) == []
+                for bad in corrupted_points(rng, p):
+                    failures = validate_point(bad)
+                    assert failures == oracles.every_column_point_failures(bad)
+                    verdicts.append(failures == [])
+        assert any(verdicts) and not all(verdicts)
