@@ -439,19 +439,11 @@ class TestValidateChainAgainstDivisors:
         squared = lat(F, [[(0, 0, 1), (0,), (0,)], [(0,), (1,), (0,)], [(0,), (0,), (1,)]])
         # span(z e1, (z-1) e2, e3) splits the colength between 0 and 1
         split = lat(F, [[(0, 1), (0,), (0,)], [(0,), (-1, 1), (0,)], [(0,), (0,), (1,)]])
-        for L, x in ((squared, zero), (split, zero), (split, one)):
-            chain = LatticeChain(3, F, (x,), (2,), (L,))
-            assert validate_chain(chain) == oracles.divisor_step_failures(chain) == [
-                "step 1: modification is not omega_2 concentrated at the marked point"
-            ]
-
-    @pytest.mark.parametrize(
-        "F, shift", [(QQ, -2), (GF(3), 1)], ids=["QQ-z2-2", "GF3-z2+1"]
-    )
-    def test_colength_two_steps_without_roots(self, F, shift):
-        # span((z^2 + shift) e1, e2, e3): det has no root in the field
-        L = lat(F, [[(shift, 0, 1), (0,), (0,)], [(0,), (1,), (0,)], [(0,), (0,), (1,)]])
-        for x in (F.zero, F.one):
+        # span((z^2 - 2) e1, e2, e3): z^2 - 2 has no root in Q, nor in GF(3)
+        # where it is z^2 + 1
+        rootless = lat(F, [[(-2, 0, 1), (0,), (0,)], [(0,), (1,), (0,)], [(0,), (0,), (1,)]])
+        cases = ((squared, zero), (split, zero), (split, one), (rootless, zero), (rootless, one))
+        for L, x in cases:
             chain = LatticeChain(3, F, (x,), (2,), (L,))
             assert validate_chain(chain) == oracles.divisor_step_failures(chain) == [
                 "step 1: modification is not omega_2 concentrated at the marked point"
