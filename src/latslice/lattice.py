@@ -219,26 +219,52 @@ def slice_column(L, k):
     coefficient vectors of q_1..q_m in its monic basis z^k e_j - q_j(z),
     deg q_j < k, in the monomial basis (e_1..e_m, ..., z^(k-1) e_1..
     z^(k-1) e_m) of k[z]^m / L.  None when those m*k monomials are not a
-    basis of the quotient.  Their reductions modulo the Hermite basis give
-    an N x N field matrix C (N = m*k); q_j solves C q_j = the reduction of
-    z^k e_j, all m in one solve."""
+    basis of the quotient.
+
+    The quotient has the staircase basis {z^s e_i : s < d_i}, d_i the
+    Hermite diagonal degrees, and z acts on it by the Hermite columns:
+    z^(d_i) e_i is minus column i without its leading term, already
+    reduced (so e_j itself is that vector when d_j = 0).  Applying z k
+    times to each e_j gives the reductions of its z^t e_j, t = 0..k, as
+    staircase coordinates; those with t < k form an N x N field matrix C
+    (N = m*k), and q_j solves C q_j = the reduction of z^k e_j, all m in
+    one solve."""
     if k < 1:
         raise ValueError("k must be positive")
     F, m, H = L.field, L.m, L.basis
+    p = F.p
     degs = [int(H.entry(i, i).degree) for i in range(m)]
-    if sum(degs) != m * k:
-        raise ValueError(f"colength {sum(degs)} != m*k = {m * k}")
+    N = sum(degs)
+    if N != m * k:
+        raise ValueError(f"colength {N} != m*k = {m * k}")
+    starts = [sum(degs[:i]) for i in range(m)]  # z^s e_i is coordinate starts[i] + s
+    wrap = []  # wrap[i]: the reduced z^(d_i) e_i
+    for i in range(m):
+        w = [F.zero] * N
+        for r in range(i + 1):
+            for s in range(degs[r]):
+                w[starts[r] + s] = F.neg(H.entry(r, i).coeff(s))
+        wrap.append(w)
+    tops = {starts[i] + degs[i] - 1: i for i in range(m) if degs[i]}
     runs = []  # runs[j][t]: coordinates of the reduced z^t e_j, t = 0..k
     for j in range(m):
-        v = [Poly.one(F) if i == j else Poly.zero(F) for i in range(m)]
-        run = []
-        for _ in range(k + 1):
-            v = _divide(H, v)[1]
-            run.append([p.coeff(s) for p, d in zip(v, degs) for s in range(d)])
-            v = [p.shift(1) for p in v]
+        v = wrap[j] if degs[j] == 0 else [F.one if c == starts[j] else F.zero for c in range(N)]
+        run = [v]
+        for _ in range(k):
+            # z^s e_i goes to z^(s+1) e_i, and the top z^(d_i - 1) e_i to wrap[i]
+            out = [F.zero] * N
+            for c, a in enumerate(v):
+                if not a:
+                    continue
+                if c in tops:
+                    out = [x + a * y if y else x for x, y in zip(out, wrap[tops[c]])]
+                else:
+                    out[c + 1] += a
+            v = out if p is None else [x % p for x in out]
+            run.append(v)
         runs.append(run)
-    C = [[runs[j][t][r] for t in range(k) for j in range(m)] for r in range(m * k)]
-    R = [[run[k][r] for run in runs] for r in range(m * k)]
+    C = [[runs[j][t][r] for t in range(k) for j in range(m)] for r in range(N)]
+    R = [[run[k][r] for run in runs] for r in range(N)]
     X = linalg.solve(F, C, R)
     return None if X is None else [list(q) for q in zip(*X)]
 

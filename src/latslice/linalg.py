@@ -5,6 +5,11 @@ and characteristic polynomials.
 Field matrices are plain lists of rows; subspaces are represented by their
 reduced column echelon basis (a canonical form, so equality of subspaces is
 equality of representations).
+
+The elimination loops of `rref` and `reduce_mod_subspace` work on the
+entries with Python operators, not through Field methods, as `Poly` does:
+over F_p each output entry is reduced mod p once, over Q they are plain
+Fraction operators.  The Field is called once per pivot, for its inverse.
 """
 
 from itertools import combinations, product
@@ -17,23 +22,33 @@ def zeros(field, n):
 
 
 def rref(field, rows):
-    """Reduced row echelon form; returns (matrix, pivot_columns)."""
+    """Reduced row echelon form; returns (matrix, pivot_columns).  A pivot
+    row that already leads with 1 is not rescaled."""
+    p = field.p
     a = [list(r) for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != field.zero), None)
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(inv, e) for e in a[r]]
+        top = a[r]
+        if top[c] != field.one:
+            inv = field.inv(top[c])
+            if p is None:
+                top = a[r] = [inv * e if e else e for e in top]
+            else:
+                top = a[r] = [inv * e % p for e in top]
         for i in range(nrows):
-            if i != r and a[i][c] != field.zero:
-                f = a[i][c]
-                a[i] = [field.sub(a[i][k], field.mul(f, a[r][k])) for k in range(ncols)]
+            f = a[i][c]
+            if i != r and f:
+                if p is None:
+                    a[i] = [x - f * y if y else x for x, y in zip(a[i], top)]
+                else:
+                    a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -94,14 +109,18 @@ def pivot_rows(field, W):
 def reduce_mod_subspace(field, W, v):
     """Canonical representative of v modulo the echelon-basis subspace W:
     entries at the pivot rows of W are cleared."""
+    p = field.p
     v = list(v)
     for col in W:
-        r = next((i for i, e in enumerate(col) if e != field.zero), None)
+        r = next((i for i, e in enumerate(col) if e), None)
         if r is None:
             continue
-        c = field.div(v[r], col[r])
-        if c != field.zero:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, col)]
+        c = v[r] if col[r] == field.one else field.div(v[r], col[r])
+        if c:
+            if p is None:
+                v = [x - c * y if y else x for x, y in zip(v, col)]
+            else:
+                v = [(x - c * y) % p for x, y in zip(v, col)]
     return v
 
 

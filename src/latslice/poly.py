@@ -257,12 +257,24 @@ def poly_gcd(a, b):
     return a.monic()
 
 
+# Over Q a divisor search is refused when the constant or leading numerator
+# exceeds MAX_ROOT_SEARCH (listing the divisors of n takes sqrt(n) = 10^6
+# trial divisions), or when the pairs (c, d) of their divisors exceed
+# MAX_ROOT_CANDIDATES (each pair costs two evaluations of p).
+MAX_ROOT_SEARCH = 10**12
+MAX_ROOT_CANDIDATES = 10**5
+
+
 def linear_roots(p):
     """All roots of the linear factors of p, returned as {root: multiplicity},
     plus the residual factor with no roots in the field.
 
     Finite fields: exhaustive search, so the residual has no root at all.
-    Rationals: rational-root extraction (no field extensions).
+    Rationals: rational-root extraction (no field extensions).  A residual
+    of degree 1 gives its root directly; otherwise the candidates c/d are
+    searched by trial division, and a ValueError refuses the search when
+    |c| or |d| would range over the divisors of a numerator above
+    MAX_ROOT_SEARCH, or over more than MAX_ROOT_CANDIDATES pairs.
     """
     if p.is_zero:
         raise ValueError("root extraction from the zero polynomial")
@@ -277,6 +289,11 @@ def linear_roots(p):
     # rational roots r = c/d with c | constant term, d | leading coefficient,
     # after clearing denominators to an integer polynomial
     while p.degree >= 1:
+        if p.degree == 1:
+            found = F.div(F.neg(p.coeffs[0]), p.coeffs[1])
+            roots[found] = roots.get(found, 0) + 1
+            p = Poly.const(F, p.coeffs[1])
+            break
         den = lcm(*(c.denominator for c in p.coeffs))
         ints = [int(c * den) for c in p.coeffs]
         lead = ints[-1]
@@ -288,9 +305,20 @@ def linear_roots(p):
             p = p.exact_div(Poly.monomial(F, F.one, k))
             continue
         const = ints[0]
+        if max(abs(const), abs(lead)) > MAX_ROOT_SEARCH:
+            raise ValueError(
+                "rational root search refused: the constant or leading numerator "
+                "exceeds the bound 10^12 (over 10^6 trial divisions)"
+            )
+        cs, ds = _divisors(abs(const)), _divisors(abs(lead))
+        if len(cs) * len(ds) > MAX_ROOT_CANDIDATES:
+            raise ValueError(
+                f"rational root search refused: {len(cs) * len(ds)} candidate "
+                "roots exceed the bound 10^5"
+            )
         found = None
-        for c in _divisors(abs(const)):
-            for d in _divisors(abs(lead)):
+        for c in cs:
+            for d in ds:
                 for r in (F.parse(f"{c}/{d}"), F.parse(f"-{c}/{d}")):
                     if p.eval(r) == F.zero:
                         found = r

@@ -42,13 +42,14 @@ class SliceMatrix:
 
     def times_z(self, w):
         """Y w: every block of w moves down one, and its last block combines
-        the block column (z^k e_j is q_j)."""
+        the block column (z^k e_j is q_j).  Python operators on the entries,
+        reduced mod p once each over F_p."""
         F, m, N = self.field, self.m, self.N
         out = [F.zero] * m + list(w[: N - m])
         for qj, c in zip(self.block_column, w[N - m :]):
-            if c != F.zero:
-                out = [F.add(a, F.mul(c, b)) for a, b in zip(out, qj)]
-        return out
+            if c:
+                out = [a + c * b if b else a for a, b in zip(out, qj)]
+        return out if F.p is None else [a % F.p for a in out]
 
     def __eq__(self, other):
         return (
@@ -191,23 +192,6 @@ def validate_point(p):
     return failures
 
 
-def _monic_basis(Y):
-    """The basis columns z^k e_j - q_j(z) of the lattice of a slice matrix,
-    q_j the lift of the j-th column of the last block column."""
-    m, k, F = Y.m, Y.k, Y.field
-    cols = []
-    for j, qj in enumerate(Y.block_column):
-        col = [-p for p in _lift(F, m, k, qj)]
-        col[j] = col[j] + Poly.monomial(F, F.one, k)
-        cols.append(col)
-    return cols
-
-
-def _lift(F, m, k, w):
-    """The degree-< k polynomial vector with monomial coordinate vector w."""
-    return [Poly(F, [w[t * m + j] for t in range(k)]) for j in range(m)]
-
-
 def _jumps_from_dims(dims):
     out = []
     prev = 0
@@ -252,8 +236,10 @@ def chain_to_slice(chain):
     # under Y of the basis columns of L_(n-i).  A Krylov run stops once its
     # next vector lies in the span so far, which is then Y-stable; the image
     # has dimension colength(L_(n-i), L_n), the sum of the last i types.
+    # The basis is kept in reduced column echelon form, pivots top to
+    # bottom, so each W_i is already canonical when Flag receives it.
     subspaces = []
-    basis = []  # each vector is zero at the pivot rows of those before it
+    basis = []
     lattices = [standard_lattice(m, F)] + list(chain.lattices)
     for i in range(1, n + 1):
         dim = sum(chain.types[n - i :])
@@ -261,9 +247,13 @@ def chain_to_slice(chain):
             v = monomial_coords(col)
             while len(basis) < dim:
                 r = linalg.reduce_mod_subspace(F, basis, v)
-                if all(e == F.zero for e in r):
+                lead = next((e for e in r if e != F.zero), None)
+                if lead is None:
                     break
-                basis.append(r)
+                inv = F.inv(lead)
+                r = [F.mul(inv, e) for e in r]
+                basis = [linalg.reduce_mod_subspace(F, [r], b) for b in basis] + [r]
+                basis.sort(key=lambda b: linalg.pivot_rows(F, [b]))
                 v = Y.times_z(v)
         subspaces.append(list(basis))
     flag = Flag(F, N, subspaces)
@@ -272,20 +262,74 @@ def chain_to_slice(chain):
 
 def slice_to_chain(p):
     """The inverse bijection: L_n is the kernel of the evaluation map sending
-    z^i e_j (i < k) to the standard basis and z to Y, generated by
-    z^k e_j - q_j with q_j the degree-< k lift of Y^k applied to the j-th
-    basis vector, which is the j-th column of the last block column;
-    L_(n-i) adds lifts of a basis of W_i."""
+    z^i e_j (i < k) to the standard basis and z to Y, and L_(n-i) is the
+    preimage of W_i under it (W_0 = 0 gives L_n).  Each Hermite basis is
+    read off Y and W_i by `_preimage_basis`, with no polynomial division."""
     problems = validate_point(p)
     if problems:
         raise ValueError("invalid slice point: " + "; ".join(problems))
     Y = p.Y
-    m, k, F = Y.m, Y.k, Y.field
+    m, F, N = Y.m, Y.field, Y.N
     n = len(p.eigenvalues)
-    gens_n = _monic_basis(Y)
-    # L_1..L_(n-1) add lifts of W_(n-1)..W_1 to the basis of L_n
-    W = [p.flag.subspace(i - 1) for i in range(n - 1, 0, -1)]
-    lifts = [[_lift(F, m, k, col) for col in Wi] for Wi in W]
-    lattices = [Lattice(F, PolyMatrix.from_cols(F, g + gens_n)) for g in lifts + [[]]]
+    # powers[r][t] = Y^t e_r, shared by the walks of all n lattices
+    powers = [[[F.one if s == r else F.zero for s in range(N)]] for r in range(m)]
+    # L_1..L_n are the preimages of W_(n-1)..W_1 and W_0 = 0
+    lattices = [
+        Lattice(F, PolyMatrix.from_cols(F, _preimage_basis(Y, W, powers)))
+        for W in [p.flag.subspaces[i - 1] for i in range(n - 1, 0, -1)] + [()]
+    ]
     types = _jumps_from_dims(p.flag.dims())[::-1]
     return LatticeChain(m, F, p.eigenvalues, types, lattices)
+
+
+def _preimage_basis(Y, W, powers):
+    """The columns of the Hermite basis of the preimage in k[z]^m of the
+    Y-stable subspace W (a reduced echelon basis) under z^t e_r -> Y^t e_r.
+
+    An FGLM walk (Faugere-Gianni-Lazard-Mora, "Efficient computation of
+    zero-dimensional Groebner bases by change of ordering"): the monomials
+    z^t e_r, in position-over-term order (r = 0..m-1, then t = 0, 1, ...),
+    are reduced modulo W and the classes of the standard monomials found so
+    far.  Each vector carries a tag after its N class entries: the
+    coefficients, over the standard monomials and then the monomial being
+    walked, of the polynomial vector whose class it is modulo W.  A
+    monomial whose class is independent becomes standard; the first z^t e_r
+    whose class reduces to zero ends row r, and its tag is column r of the
+    reduced Hermite basis: z^t e_r plus standard monomials of rows <= r,
+    each row s of degree below d_s."""
+    F, m, N = Y.field, Y.m, Y.N
+    p = F.p
+    tail = [F.zero] * (N + 1)
+    # (pivot row, vector); every vector is 1 at its pivot row and zero at
+    # the pivot rows of those before it
+    basis = [(r, list(w) + tail) for r, w in zip(linalg.pivot_rows(F, W), W)]
+    std = []  # (row, degree) of each standard monomial, in walk order
+    cols = []
+    for r in range(m):
+        t = 0
+        while True:
+            if t == len(powers[r]):
+                powers[r].append(Y.times_z(powers[r][-1]))
+            v = list(powers[r][t]) + tail
+            v[N + len(std)] = F.one
+            for pr, b in basis:
+                c = v[pr] if p is None else v[pr] % p
+                if c:
+                    v = [x - c * y if y else x for x, y in zip(v, b)]
+            if p is not None:
+                v = [x % p for x in v]
+            lead = next((i for i in range(N) if v[i]), None)
+            if lead is None:
+                break
+            inv = F.inv(v[lead])
+            if p is None:
+                basis.append((lead, [inv * x if x else x for x in v]))
+            else:
+                basis.append((lead, [inv * x % p for x in v]))
+            std.append((r, t))
+            t += 1
+        rows = [[] for _ in range(m)]
+        for (i, _), c in zip(std + [(r, t)], v[N:]):
+            rows[i].append(c)
+        cols.append([Poly(F, coeffs) for coeffs in rows])
+    return cols

@@ -147,6 +147,43 @@ def every_column_point_failures(p):
 
 
 # ---------------------------------------------------------------------------
+# Slice point to lattices by polynomial Euclid: L_n is generated by the monic
+# basis z^k e_j - q_j(z), and L_(n-i) by lifts of W_i together with it, each
+# put in Hermite form.  The slice module reads every Hermite basis off Y and
+# W_i by an FGLM walk in k^N instead.
+
+def _monic_basis(Y):
+    """The basis columns z^k e_j - q_j(z) of the lattice of a slice matrix,
+    q_j the lift of the j-th column of the last block column."""
+    m, k, F = Y.m, Y.k, Y.field
+    cols = []
+    for j, qj in enumerate(Y.block_column):
+        col = [-p for p in _lift(F, m, k, qj)]
+        col[j] = col[j] + Poly.monomial(F, F.one, k)
+        cols.append(col)
+    return cols
+
+
+def _lift(F, m, k, w):
+    """The degree-< k polynomial vector with monomial coordinate vector w."""
+    return [Poly(F, [w[t * m + j] for t in range(k)]) for j in range(m)]
+
+
+def lattices_by_generators(point):
+    """L_1..L_n of the chain of a valid slice point, as slice_to_chain
+    returns them: L_(n-i) is the Hermite form of [lifts of W_i | monic
+    basis] for i = n-1..1, and L_n that of the monic basis."""
+    Y, flag = point.Y, point.flag
+    m, k, F = Y.m, Y.k, Y.field
+    gens_n = _monic_basis(Y)
+    lifts = [
+        [_lift(F, m, k, col) for col in flag.subspace(i - 1)]
+        for i in range(len(flag) - 1, 0, -1)
+    ]
+    return [Lattice(F, PolyMatrix.from_cols(F, g + gens_n)) for g in lifts + [[]]]
+
+
+# ---------------------------------------------------------------------------
 # Smith-form triviality test: U*B*V = D presents k[z]^m / L as the sum of
 # the k[z]/(d_i), and a vector v has field coordinates (U v)_i mod d_i.  The
 # monomial classes are a basis iff their coordinate matrix has full rank.

@@ -99,6 +99,31 @@ class TestLattice:
             assert cli.main(["lattice", "factorize", payload, "--s1", "0", "--s2", "1"]) == 1
         assert "divisor support not covered by the point sets" in capsys.readouterr().err
 
+    def test_divisor_of_huge_linear_root(self, capsys):
+        # span((z - r) e1, e2) over Q: det is z - r, whose root is read off
+        r = 10**30 + 39
+        payload = json.dumps({"field": "Q", "m": 2, "basis": [[[-r, 1], [0]], [[0], [1]]]})
+        with time_limit(10):
+            assert cli.main(["lattice", "divisor", payload]) == 0
+        assert json.loads(capsys.readouterr().out)["divisor"] == [{"point": r, "type": [1, 0]}]
+
+    @pytest.mark.parametrize(
+        "coeffs, bound",
+        [
+            # (z - r)(z - 1), r = 10^30 + 39: the divisors of r are not listed
+            ([10**30 + 39, -(10**30 + 40), 1], "exceeds the bound 10^12"),
+            # n z^2 + z + n, n = 963761198400 < 10^12 with 6720 divisors:
+            # 6720^2 candidate roots c/d are not tried
+            ([963761198400, 1, 963761198400], "exceed the bound 10^5"),
+        ],
+        ids=["numerator", "candidates"],
+    )
+    def test_divisor_search_over_the_bound_refused(self, coeffs, bound, capsys):
+        payload = json.dumps({"field": "Q", "m": 2, "basis": [[coeffs, [0]], [[0], [1]]]})
+        with time_limit(10):
+            assert cli.main(["lattice", "divisor", payload]) == 1
+        assert bound in capsys.readouterr().err
+
 
 class TestReusedParser:
     """cli.main called repeatedly in one process, as a library caller does."""

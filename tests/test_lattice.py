@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latslice.countlab import _random_step
 from latslice.fields import GF, QQ
@@ -29,6 +31,7 @@ from latslice.lattice import (
 )
 from latslice.poly import Poly
 from latslice.polymatrix import PolyMatrix, det
+from latslice.slicecorr import SliceMatrix
 
 import oracles
 
@@ -491,3 +494,58 @@ class TestTrivialityAgainstSmith:
             quotient_basis_trivial(L, 0)
         with pytest.raises(ValueError, match="colength 4 != m\\*k = 2"):
             quotient_basis_trivial(L, 1)
+
+
+# Hermite diagonal degrees of the seed-7 roundtrip pool, degree-0 entries
+# included, drawn beside arbitrary compositions of m*k
+POOL_DIAGONALS = ((2, 1, 0), (3, 0, 0), (4, 0), (2, 0, 1))
+
+
+@st.composite
+def hermite_lattices(draw):
+    """(L, k): a lattice of colength m*k over GF(3), GF(5) or Q, given by a
+    random matrix in Hermite form, so its diagonal degrees are as drawn."""
+    F = draw(st.sampled_from((GF(3), GF(5), QQ)))
+    degs = draw(st.sampled_from(POOL_DIAGONALS))
+    m, k = len(degs), sum(degs) // len(degs)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        k = draw(st.integers(1, 3))
+        cuts = sorted(draw(st.lists(st.integers(0, m * k), min_size=m - 1, max_size=m - 1)))
+        degs = [b - a for a, b in zip([0] + cuts, cuts + [m * k])]
+    if F.is_finite:
+        element = st.integers(0, F.p - 1)
+    else:
+        element = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    cols = []
+    for i in range(m):
+        # row r < i of column i has degree below d_r; the diagonal is monic
+        rows = [draw(st.lists(element, min_size=d, max_size=d)) for d in degs[: i + 1]]
+        rows[i].append(F.one)
+        cols.append([Poly(F, c) for c in rows] + [Poly.zero(F)] * (m - i - 1))
+    return Lattice(F, PolyMatrix.from_cols(F, cols)), k
+
+
+class TestSliceColumnProperties:
+    """Normal-form postconditions of slice_column: a column exactly for the
+    splitting type (-k, ..., -k), and one whose monic basis generates L."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(case=hermite_lattices())
+    def test_column_iff_constant_splitting(self, case):
+        L, k = case
+        F, m = L.field, L.m
+        q = slice_column(L, k)
+        assert (q is None) == (splitting_type(L) != (-k,) * m)
+        if q is not None:
+            monic = oracles._monic_basis(SliceMatrix(m, k, F, q))
+            assert Lattice(F, PolyMatrix.from_cols(F, monic)) == L
+
+    def test_pool_diagonal_takes_both_branches(self):
+        # diag(z^2, z, 1): e_3 is -(b e_1 + d e_2) in the quotient, so the
+        # classes of e_1, e_2, e_3 are a basis iff b has a z term
+        F = GF(3)
+        for b, trivial in (((0, 1), True), ((1,), False)):
+            L = lat(F, [[(0, 0, 1), (0,), (0,)], [(0,), (0, 1), (0,)], [b, (1,), (1,)]])
+            assert (slice_column(L, 1) is not None) == trivial
+            assert (splitting_type(L) == (-1, -1, -1)) == trivial

@@ -7,20 +7,19 @@ import pytest
 import oracles
 from latslice import linalg
 from latslice.fields import GF, QQ
-from latslice.lattice import Lattice, LatticeChain, standard_lattice
+from latslice.lattice import Lattice, LatticeChain, quotient_basis_trivial, standard_lattice
 from latslice.poly import Poly
 from latslice.polymatrix import PolyMatrix, det
 from latslice.slicecorr import (
     Flag,
     SliceMatrix,
     SlicePoint,
-    _monic_basis,
     base_point,
     chain_to_slice,
     slice_to_chain,
     validate_point,
 )
-from latslice.countlab import FiberQuery, count_chain_fiber, _random_trivial_chain
+from latslice.countlab import FiberQuery, count_chain_fiber, _random_step, _random_trivial_chain
 
 
 def P(field, *coeffs):
@@ -112,7 +111,7 @@ class TestCharPoly:
         for k in (1, 2, 3):
             for _ in range(6):
                 Y = random_slice(rng, F, rng.randint(1, 3), k)
-                monic = det(PolyMatrix.from_cols(F, _monic_basis(Y)))
+                monic = det(PolyMatrix.from_cols(F, oracles._monic_basis(Y)))
                 assert monic == linalg.char_poly(F, Y.entries)
 
 
@@ -231,6 +230,51 @@ class TestRoundtrip:
                     assert validate_point(p) == []
                     assert slice_to_chain(p) == chain
                     assert chain_to_slice(slice_to_chain(p)) == p
+
+
+def chain_at(rng, F, m, k, types, points):
+    """A seeded chain at the given points ending at a trivial lattice, or
+    None when the draw is not trivial."""
+    L, lattices = standard_lattice(m, F), []
+    for x, j in zip(points, types):
+        L = _random_step(rng, L, x, j)
+        if L is None:
+            return None
+        lattices.append(L)
+    if not quotient_basis_trivial(L, k):
+        return None
+    return LatticeChain(m, F, points, types, lattices)
+
+
+class TestPreimageWalkAgainstGenerators:
+    """The FGLM walk of slice_to_chain against the Hermite form of lifts of
+    W_i and the monic basis, on seeded points whose eigenvalues repeat."""
+
+    @pytest.mark.parametrize("F", [GF(3), GF(5), QQ], ids=["GF3", "GF5", "QQ"])
+    def test_seeded_points(self, F):
+        rng = random.Random(61)
+        xs = [F.from_int(c) for c in (0, 1, 2)]
+        non_monomial = 0
+        grid = (
+            (2, 1, (1, 1)), (3, 1, (1, 2)), (3, 1, (1, 1, 1)),
+            (2, 2, (1, 1, 1, 1)), (3, 2, (1, 2, 1, 2)), (2, 3, (1,) * 6),
+        )
+        for m, k, types in grid:
+            for values in (1, 2):
+                produced = 0
+                while produced < 3:
+                    pool = rng.sample(xs, values)
+                    points = tuple(rng.choice(pool) for _ in types)
+                    chain = chain_at(rng, F, m, k, types, points)
+                    if chain is None:
+                        continue
+                    produced += 1
+                    p = chain_to_slice(chain)
+                    assert list(slice_to_chain(p).lattices) == oracles.lattices_by_generators(p)
+                    non_monomial += any(
+                        sum(e != F.zero for e in col) > 1 for W in p.flag.subspaces for col in W
+                    )
+        assert non_monomial > 0
 
 
 def corrupted_points(rng, p):
