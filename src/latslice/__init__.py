@@ -35,6 +35,7 @@ from .polymatrix import (
     column_reduce,
     det,
     hermite_basis,
+    invariant_factors,
     is_unimodular,
     smith_normal_form,
 )

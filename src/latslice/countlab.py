@@ -123,11 +123,21 @@ def _steps(L, x, j, containing):
 
 
 def _preimage(L, shifted, vecs):
-    """The lattice between (z-x)L, given by its generators `shifted`, and L
-    whose image in L/(z-x)L is the span of the coordinate vectors `vecs`."""
+    """The lattice between (z-x)L and L whose image in L/(z-x)L is the span
+    S of the coordinate vectors `vecs`; shifted[r] is (z-x) B e_r, for B the
+    basis of L.
+
+    Generated by the B v, v in vecs, and the shifted[r] for the rows r that
+    are not pivot rows of S: m generators when vecs is a basis of S.  The
+    others follow.  Let s_c be the reduced echelon basis vector of S with
+    pivot row r_c (1 there, 0 at the other pivot rows), a combination of
+    vecs over k.  Then (z-x) B s_c lies in the module, and
+    shifted[r_c] = (z-x) B s_c - sum over non-pivot rows r of s_c[r] shifted[r]."""
     F = L.field
+    pivots = linalg.rref(F, vecs)[1]
     gens = [L.basis.mul_vec([Poly.const(F, c) for c in v]) for v in vecs]
-    return Lattice(F, PolyMatrix.from_cols(F, gens + shifted))
+    gens += [col for r, col in enumerate(shifted) if r not in pivots]
+    return Lattice(F, PolyMatrix.from_cols(F, gens))
 
 
 def _chain_ends(m, k, field, points):

@@ -17,7 +17,7 @@ from .polymatrix import (
     column_reduce,
     det,
     hermite_basis,
-    smith_normal_form,
+    invariant_factors,
 )
 
 
@@ -165,12 +165,12 @@ def colength(outer, inner):
 
 
 def _smith_divisors(outer, inner):
-    """The transition matrix of the pair and the diagonal of its Smith form."""
+    """The transition matrix of the pair and its invariant factors, the
+    diagonal of its Smith form."""
     T = transition_matrix(outer, inner)
     if T is None:
         raise ValueError("inner is not contained in outer")
-    _, D, _ = smith_normal_form(T)
-    return T, [D.entry(i, i) for i in range(T.rows)]
+    return T, invariant_factors(T)
 
 
 def _type_at(divisors, x):
@@ -292,7 +292,9 @@ def factorize(L, S1, S2):
     d * standard lies in L; so L^(i) = L + f_i^c * standard for f_i the
     product of (z - x) over S_i and c the colength, as g_i = gcd(d, f_i^c).
     The divisor of L^(i) is the divisor of L restricted to S_i and the two
-    factors intersect back to L.
+    factors intersect back to L.  Each factor is one Hermite reduction of
+    basis(L) modulo g_i (`hermite_basis(basis, g_i)`); a constant g_i gives
+    the standard lattice.
 
     The divisor's support lies in S1 | S2 exactly when g1 * g2 = d, so no
     root search or Smith form is needed.
@@ -307,9 +309,7 @@ def factorize(L, S1, S2):
     )
     if g1 * g2 != d:
         raise ValueError("divisor support not covered by the point sets")
-    return tuple(
-        lattice_sum(L, Lattice(F, PolyMatrix.identity(F, L.m).scale_poly(g))) for g in (g1, g2)
-    )
+    return tuple(Lattice(F, hermite_basis(L.basis, g)) for g in (g1, g2))
 
 
 def _check_pair(L1, L2):

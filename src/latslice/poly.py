@@ -210,16 +210,30 @@ class Poly:
         return acc
 
     def valuation_at(self, x):
-        """The (z - x)-adic valuation; raises on the zero polynomial."""
+        """The (z - x)-adic valuation; raises on the zero polynomial.
+
+        Synthetic division by z - x in place on the coefficient list, until
+        the remainder is nonzero.  Over Q it runs on integers: for x = a/b
+        and D the lcm of the denominators, sum c_i D b^(n-i) w^i =
+        D b^n self(w/b) has integer coefficients and vanishes at w = a to
+        the same order."""
         if self.is_zero:
             raise ValueError("valuation of the zero polynomial")
-        lin = Poly(self.field, (self.field.neg(x), self.field.one))
-        v, p = 0, self
+        p, c = self.field.p, list(self.coeffs)
+        if p is None:
+            n, b = len(c) - 1, x.denominator
+            D = lcm(*(q.denominator for q in c))
+            c = [q.numerator * (D // q.denominator) * b ** (n - i) for i, q in enumerate(c)]
+            x = x.numerator
+        v = 0
         while True:
-            q, r = divmod(p, lin)
-            if not r.is_zero:
+            # c becomes the quotient c[1:] and the remainder c[0]
+            for i in range(len(c) - 2, -1, -1):
+                c[i] = c[i] + x * c[i + 1] if p is None else (c[i] + x * c[i + 1]) % p
+            if c[0]:
                 return v
-            v, p = v + 1, q
+            del c[0]
+            v += 1
 
     def __eq__(self, other):
         return (
@@ -329,8 +343,10 @@ def linear_roots(p):
                 break
         if found is None:
             break
-        roots[found] = roots.get(found, 0) + 1
-        p = p.exact_div(Poly(F, (F.neg(found), F.one)))
+        # every copy at once: a later search would find this root first again
+        e = p.valuation_at(found)
+        roots[found] = e
+        p = p.exact_div(Poly.from_roots(F, [found] * e))
     return roots, p
 
 

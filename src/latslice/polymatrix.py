@@ -3,6 +3,15 @@
 Everything is exact.  The determinant uses Bareiss fraction-free elimination
 (all intermediate divisions are exact in k[z]); Smith, Hermite and column
 reduction are Euclidean algorithms; a transform rides along as extra rows.
+
+The Smith loop pivots in the top-left block of the rows it is given and
+carries any further rows and columns as riders: `smith_normal_form` gives it
+[[M, I], [I, 0]] to read U and V off the borders, `invariant_factors` gives
+it M alone.  `hermite_basis(M, g)` reduces modulo a known multiple g of the
+module, as in Hermite normal form computation modulo the determinant
+(Domich, Kannan and Trotter 1987; Cohen, "A Course in Computational
+Algebraic Number Theory", Alg. 2.4.8): the column g*e_i joins the echelon
+loop at row i, and the entries above the current row are kept reduced mod g.
 """
 
 from . import linalg
@@ -164,6 +173,30 @@ def smith_normal_form(M):
     one, zero = Poly.one(F), Poly.zero(F)
     a = [M.row(i) + [one if j == i else zero for j in range(n)] for i in range(n)]
     a += [[one if j == i else zero for j in range(n)] + [zero] * n for i in range(n)]
+    _smith_diagonalize(F, a, n)
+    Um = PolyMatrix.from_rows(F, [row[n:] for row in a[:n]])
+    Dm = PolyMatrix.diagonal(F, [a[t][t] for t in range(n)])
+    Vm = PolyMatrix.from_rows(F, [row[:n] for row in a[n:]])
+    return Um, Dm, Vm
+
+
+def invariant_factors(M):
+    """The monic invariant factors d_1 | ... | d_n of a nonsingular square M,
+    the diagonal of its Smith form, from the Smith loop with no transform
+    riding along.  Raises ValueError for singular (or non-square) input."""
+    if M.rows != M.cols:
+        raise ValueError("Smith form of a non-square matrix")
+    a = M.to_rowlists()
+    _smith_diagonalize(M.field, a, M.rows)
+    return [a[t][t] for t in range(M.rows)]
+
+
+def _smith_diagonalize(F, a, n):
+    """Bring the top-left n x n block of the rows `a` to Smith form in place,
+    monic d_1 | ... | d_n on its diagonal, pivoting in that block only.
+    Further columns of rows 0..n-1 ride along with the row operations and
+    further rows with the column operations."""
+    width = len(a[0]) if a else 0
     for t in range(n):
         while True:
             # minimal-degree nonzero entry of the trailing block
@@ -188,7 +221,7 @@ def smith_normal_form(M):
                 if a[i][t].is_zero:
                     continue
                 q, r = divmod(a[i][t], pivot)
-                for j in range(2 * n):
+                for j in range(width):
                     a[i][j] = a[i][j] - q * a[t][j]
                 if not r.is_zero:
                     dirty = True
@@ -213,25 +246,26 @@ def smith_normal_form(M):
                     break
             if offender is None:
                 break
-            for j in range(2 * n):
+            for j in range(width):
                 a[t][j] = a[t][j] + a[offender][j]
-    # monic pivots: scale row t of D and of U by the same constant
+    # monic pivots: scale row t of the block and of its riders by one constant
     for t in range(n):
         c = a[t][t].lc
         if c != F.one:
             inv = F.inv(c)
             a[t] = [e.scale(inv) for e in a[t]]
-    Um = PolyMatrix.from_rows(F, [row[n:] for row in a[:n]])
-    Dm = PolyMatrix.diagonal(F, [a[t][t] for t in range(n)])
-    Vm = PolyMatrix.from_rows(F, [row[:n] for row in a[n:]])
-    return Um, Dm, Vm
 
 
-def _column_echelon(cols, m):
+def _column_echelon(cols, m, g=None):
     """Triangularize columns over k[z] by unimodular column operations,
     pivoting on rows m-1..0 only.  Rows below m ride along with every
     operation, so identity rows stacked under a matrix M come out as a
     unimodular V with M*V = the echelon form.
+
+    With a modulus g (and no rider rows) the columns span span(cols) +
+    g*k[z]^m: the column g*e_i joins when row i is reached, and every column
+    an operation changes, or that becomes the pivot of row i, has its
+    entries above row i reduced mod g, as g*e_r joins later for each r < i.
 
     Returns (pivots, cols): pivots[i] is the column index holding the pivot
     of row i (or None); the columns holding no pivot are zero in rows
@@ -241,6 +275,9 @@ def _column_echelon(cols, m):
     free = list(range(len(cols)))
     pivots = [None] * m
     for i in range(m - 1, -1, -1):
+        if g is not None:
+            free.append(len(cols))
+            cols.append([g if r == i else Poly.zero(g.field) for r in range(m)])
         while True:
             live = [j for j in free if not cols[j][i].is_zero]
             if not live:
@@ -249,6 +286,8 @@ def _column_echelon(cols, m):
             if len(live) == 1:
                 pivots[i] = piv
                 free.remove(piv)
+                if g is not None:
+                    cols[piv][:i] = [e % g if e.degree >= g.degree else e for e in cols[piv][:i]]
                 break
             for j in live:
                 if j == piv:
@@ -256,6 +295,8 @@ def _column_echelon(cols, m):
                 q = cols[j][i] // cols[piv][i]
                 for r in range(len(cols[j])):
                     cols[j][r] = cols[j][r] - q * cols[piv][r]
+                if g is not None:
+                    cols[j][:i] = [e % g if e.degree >= g.degree else e for e in cols[j][:i]]
     return pivots, cols
 
 
@@ -281,15 +322,16 @@ def _reduce_echelon(field, pivots, cols):
     return cols
 
 
-def hermite_basis(M):
-    """Canonical m x m basis of the column span of an m x g matrix of rank m.
+def hermite_basis(M, g=None):
+    """Canonical m x m basis of the column span of an m x n matrix of rank m,
+    or, given a nonzero polynomial g, of span(M) + g*k[z]^m for any m-row M.
 
     Output is upper triangular with monic diagonal pivots and off-pivot
     entries of smaller degree than their row pivot; equal modules give equal
     matrices.  Raises ValueError on rank-deficient input.
     """
     F = M.field
-    pivots, cols = _column_echelon(M.columns(), M.rows)
+    pivots, cols = _column_echelon(M.columns(), M.rows, g)
     if any(p is None for p in pivots):
         raise ValueError("generators do not span a rank-m module")
     cols = _reduce_echelon(F, pivots, cols)

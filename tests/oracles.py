@@ -4,6 +4,7 @@ machinery (sympy, brute force over small sets, or a second algorithm built
 from other parts of the package) rather than the code under test."""
 
 import itertools
+import math
 
 import sympy
 
@@ -427,3 +428,62 @@ def factorize_by_powers(L, S1, S2):
     return tuple(
         lattice_sum(L, Lattice(F, PolyMatrix.identity(F, L.m).scale_poly(f))) for f in (f1, f2)
     )
+
+
+# ---------------------------------------------------------------------------
+# Valuations and rational roots one division at a time: the (z - x)-adic
+# valuation by repeated Poly divmod, and the rational root search that
+# removes one copy of a root per search (without its refusal bounds).  The
+# references for `Poly.valuation_at`, which divides by synthetic division,
+# and for `poly.linear_roots`, which removes every copy of a root at once.
+
+def valuation_by_division(p, x):
+    if p.is_zero:
+        raise ValueError("valuation of the zero polynomial")
+    lin = Poly(p.field, (p.field.neg(x), p.field.one))
+    v = 0
+    while True:
+        q, r = divmod(p, lin)
+        if not r.is_zero:
+            return v
+        v, p = v + 1, q
+
+
+def linear_roots_one_at_a_time(p):
+    F = p.field
+    roots = {}
+    while p.degree >= 1:
+        if p.degree == 1:
+            found = F.div(F.neg(p.coeffs[0]), p.coeffs[1])
+            roots[found] = roots.get(found, 0) + 1
+            p = Poly.const(F, p.coeffs[1])
+            break
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        ints = [int(c * den) for c in p.coeffs]
+        k = next(i for i, c in enumerate(ints) if c)
+        if k:
+            roots[F.zero] = roots.get(F.zero, 0) + k
+            p = p.exact_div(Poly.monomial(F, F.one, k))
+            continue
+        cs = sorted(sympy.divisors(abs(ints[0])))
+        ds = sorted(sympy.divisors(abs(ints[-1])))
+        candidates = (F.parse(f"{s}{c}/{d}") for c in cs for d in ds for s in ("", "-"))
+        found = next((r for r in candidates if p.eval(r) == F.zero), None)
+        if found is None:
+            break
+        roots[found] = roots.get(found, 0) + 1
+        p = p.exact_div(Poly(F, (F.neg(found), F.one)))
+    return roots, p
+
+
+# ---------------------------------------------------------------------------
+# A step lattice from all of its generators: the lifts B v of the vectors
+# v in vecs and every column of (z - x) B, for B the basis of L.  The
+# reference for `countlab._preimage`, which passes only the columns of
+# (z - x) B at the rows that are not pivot rows of span(vecs).
+
+def preimage_by_all_generators(L, x, vecs):
+    F = L.field
+    shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
+    gens = [L.basis.mul_vec([Poly.const(F, c) for c in v]) for v in vecs]
+    return Lattice(F, PolyMatrix.from_cols(F, gens + shifted))

@@ -1,14 +1,22 @@
 """Command-line interface: subcommands, payload channels, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latslice import cli, serialize
+from latslice.fields import GF, QQ
 from latslice.lattice import hecke_type_at, standard_lattice
+from latslice.poly import Poly
+from latslice.polymatrix import PolyMatrix
 from test_exactalg import time_limit
 
 
@@ -123,6 +131,76 @@ class TestLattice:
         with time_limit(10):
             assert cli.main(["lattice", "divisor", payload]) == 1
         assert bound in capsys.readouterr().err
+
+
+@st.composite
+def lattice_payloads(draw):
+    """(payload, colength, points, singular): a lattice over GF(3) or Q with
+    m = 2 or 3, drawn in Hermite form with diagonals supported on the
+    points (over Q: 0, 1, 1/2 and, at times, the rootless z^2 - 2), then at
+    times regenerated by elementary column operations and a column
+    permutation, or made singular by repeating a column."""
+    F = draw(st.sampled_from((GF(3), QQ)))
+    m = draw(st.integers(2, 3))
+    points = ["0", "1", "2"] if F.is_finite else ["0", "1", "1/2"]
+    if F.is_finite:
+        element = st.integers(0, 2)
+    else:
+        element = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    diagonal = []
+    for _ in range(m):
+        d = Poly.from_roots(F, [F.parse(x) for x in points for _ in range(draw(st.integers(0, 2)))])
+        if not F.is_finite and draw(st.integers(0, 5)) == 0:
+            d = d * Poly(F, (F.from_int(-2), F.zero, F.one))
+        diagonal.append(d)
+    cols = []
+    for i in range(m):
+        col = [Poly(F, draw(st.lists(element, max_size=int(diagonal[r].degree)))) for r in range(i)]
+        cols.append(col + [diagonal[i]] + [Poly.zero(F)] * (m - i - 1))
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = draw(st.permutations(range(m)))[:2]
+            f = Poly(F, draw(st.lists(element, max_size=2)))
+            cols[j] = [a + f * b for a, b in zip(cols[j], cols[i])]
+        cols = draw(st.permutations(cols))
+    singular = draw(st.integers(0, 9)) == 0
+    if singular:
+        cols[-1] = cols[0]
+    basis = serialize.basis_to_json(PolyMatrix.from_cols(F, cols))
+    payload = json.dumps({"field": F.code, "m": m, "basis": basis})
+    return payload, sum(int(d.degree) for d in diagonal), points, singular
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestLatticePayloadProperties:
+    """No lattice payload makes `divisor`, `hecke-type` or `factorize`
+    print a traceback: each exits 0, 1 or 2, and a divisor printed with
+    exit 0 has the colength as its total."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(case=lattice_payloads(), data=st.data())
+    def test_exit_codes_without_traceback(self, case, data):
+        payload, colength, points, singular = case
+        x = data.draw(st.sampled_from(points + ["2"]))
+        s1 = data.draw(st.lists(st.sampled_from(points), unique=True))
+        s2 = [p for p in points if p not in s1]
+        for argv in (
+            ["lattice", "divisor", payload],
+            ["lattice", "hecke-type", payload, "--x", x],
+            ["lattice", "factorize", payload, "--s1", ",".join(s1), "--s2", ",".join(s2)],
+        ):
+            code, out, err = call(argv)
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+            assert (code == 2) == singular, (argv, err)
+            if code == 0 and argv[1] == "divisor":
+                divisor = json.loads(out)["divisor"]
+                assert sum(sum(entry["type"]) for entry in divisor) == colength
 
 
 class TestReusedParser:

@@ -76,6 +76,64 @@ class TestStepChoices:
                     assert set(got) == want, (L, x, j)
 
 
+class TestPreimageAgainstAllGenerators:
+    """`_preimage` passes the columns of (z - x)L only at the rows that are
+    not pivot rows of the subspace; it must give the lattice that the lifts
+    and all m columns of (z - x)L generate."""
+
+    @staticmethod
+    def base_lattices(rng, F, m):
+        # k[z]^m and a few lattices one or two random steps below it
+        out = [standard_lattice(m, F)]
+        for _ in range(3):
+            L = out[0]
+            for _ in range(rng.randint(1, 2)):
+                L = countlab._random_step(rng, L, F.from_int(rng.randint(0, 2)), rng.randint(1, m - 1))
+            out.append(L)
+        return out
+
+    @pytest.mark.parametrize("F", [GF(2), GF(3), GF(5)], ids=repr)
+    def test_every_step_subspace(self, F):
+        rng = random.Random(43)
+        xs = [x for x in F.elements() if x != F.zero]
+        for m in (2, 3):
+            for L in self.base_lattices(rng, F, m):
+                x = xs[rng.randrange(len(xs))]
+                shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
+                for j in range(1, m):
+                    for S in linalg.subspaces(F, m, m - j):
+                        want = oracles.preimage_by_all_generators(L, x, S)
+                        assert countlab._preimage(L, shifted, S) == want
+
+    @pytest.mark.parametrize("F", [GF(2), GF(3), GF(5), QQ], ids=repr)
+    def test_random_step_vectors(self, F):
+        # the vectors _random_step draws (not in echelon form), replayed from
+        # its seed, and the same with a dependent vector appended: any
+        # spanning set of the subspace will do
+        def draw(r, m, j):
+            if F.is_finite:
+                sample = lambda: F.from_int(r.randrange(F.p))
+            else:
+                sample = lambda: F.from_int(r.randint(-3, 3))
+            while True:
+                vecs = [[sample() for _ in range(m)] for _ in range(m - j)]
+                if linalg.rank(F, vecs) == m - j:
+                    return vecs
+
+        rng = random.Random(47)
+        for m in (2, 3):
+            for L in self.base_lattices(rng, F, m):
+                for j in range(1, m):
+                    x = F.from_int(rng.randint(1, 2))
+                    seed = rng.randrange(10**6)
+                    vecs = draw(random.Random(seed), m, j)
+                    want = oracles.preimage_by_all_generators(L, x, vecs)
+                    assert countlab._random_step(random.Random(seed), L, x, j) == want
+                    shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
+                    combo = [F.add(a, F.mul(F.from_int(2), b)) for a, b in zip(vecs[0], vecs[-1])]
+                    assert countlab._preimage(L, shifted, vecs + [combo]) == want
+
+
 class TestChainCount:
     def test_anchor_12(self):
         F = GF(3)

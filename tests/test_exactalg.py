@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latslice.fields import GF, QQ
@@ -19,6 +19,7 @@ from latslice.polymatrix import (
     column_reduce,
     det,
     hermite_basis,
+    invariant_factors,
     is_unimodular,
     smith_normal_form,
 )
@@ -413,6 +414,125 @@ class TestHermite:
                 if j is not None:
                     assert not H.entry(i, j).is_zero
                     assert all(H.entry(r, j).is_zero for r in range(i + 1, m))
+
+
+def small_polys(F, max_size=3):
+    return st.lists(elements(F), max_size=max_size).map(lambda c: Poly(F, c))
+
+
+@st.composite
+def square_matrices(draw, F, singular=False):
+    """n x n, n <= 3, entries of degree < 3 (so rarely triangular); with
+    `singular`, the last row is a polynomial multiple of the first (a zero
+    1 x 1 matrix when n = 1)."""
+    n = draw(st.integers(1, 3))
+    rows = [[draw(small_polys(F)) for _ in range(n)] for _ in range(n)]
+    if singular:
+        f = draw(small_polys(F))
+        rows[-1] = [f * e for e in rows[0]] if n > 1 else [Poly.zero(F)]
+    return PolyMatrix.from_rows(F, rows)
+
+
+class TestInvariantFactors:
+    """invariant_factors runs the Smith loop without the U, V riders."""
+
+    @pytest.mark.parametrize("F", FIELDS, ids=repr)
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_smith_diagonal(self, F, data):
+        M = data.draw(square_matrices(F))
+        assume(not det(M).is_zero)
+        _, D, _ = smith_normal_form(M)
+        assert invariant_factors(M) == [D.entry(i, i) for i in range(M.rows)]
+
+    @pytest.mark.parametrize("F", FIELDS, ids=repr)
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_singular_rejected(self, F, data):
+        M = data.draw(square_matrices(F, singular=True))
+        with pytest.raises(ValueError, match="singular"):
+            invariant_factors(M)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="non-square"):
+            invariant_factors(PolyMatrix.from_rows(QQ, [[P(QQ, 1), P(QQ, 0, 1)]]))
+
+
+def stacked_modulus(M, g):
+    """hermite_basis of [M | g*I]: the reference for hermite_basis(M, g)."""
+    return hermite_basis(M.hstack(PolyMatrix.identity(M.field, M.rows).scale_poly(g)))
+
+
+class TestHermiteModulo:
+    """hermite_basis(M, g) is the Hermite basis of span(M) + g*k[z]^m."""
+
+    @pytest.mark.parametrize("F", FIELDS, ids=repr)
+    def test_named_moduli(self, F):
+        # det M = z^3 - 1, so z is coprime to it in every field
+        M = mat(F, [[(0, 1), (1,)], [(1,), (0, 0, 1)]])
+        d = det(M)
+        assert d == P(F, -1, 0, 0, 1)
+        for g in (P(F, 1), P(F, F.p - 1 if F.p else 2), P(F, 0, 1), d, P(F, 1, -2, 1), d * P(F, 0, 1)):
+            assert hermite_basis(M, g) == stacked_modulus(M, g)
+        assert hermite_basis(M, P(F, 1)) == PolyMatrix.identity(F, 2)
+        assert hermite_basis(M, d) == hermite_basis(M)
+
+    @pytest.mark.parametrize("F", FIELDS, ids=repr)
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_stacked_multiples(self, F, data):
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        M = PolyMatrix.from_cols(F, [[data.draw(small_polys(F, 4)) for _ in range(m)] for _ in range(n)])
+        g = data.draw(small_polys(F, 4).filter(lambda p: not p.is_zero))
+        c = data.draw(elements(F).filter(lambda a: a != F.zero))
+        moduli = [g, Poly.const(F, c)]
+        if m == n and not (d := det(M)).is_zero:
+            coprime = g
+            while (h := poly_gcd(coprime, d)).degree > 0:
+                coprime = coprime // h
+            moduli += [d, coprime, d * g]
+        for g in moduli:
+            assert hermite_basis(M, g) == stacked_modulus(M, g)
+
+
+class TestValuationAndRoots:
+    """Synthetic division against repeated Poly divmod, and the root search
+    that removes every copy of a root against one copy per search."""
+
+    @pytest.mark.parametrize("F", FIELDS, ids=repr)
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_valuation_matches_division(self, F, data):
+        if F.is_finite:
+            x, y = data.draw(elements(F)), data.draw(elements(F))
+        else:
+            point = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+            x, y = data.draw(point), data.draw(point)
+        f = data.draw(small_polys(F, 5).filter(lambda p: not p.is_zero))
+        p = Poly.from_roots(F, [x] * data.draw(st.integers(0, 4))) * f
+        for at in (x, y):
+            assert p.valuation_at(at) == oracles.valuation_by_division(p, at)
+
+    @pytest.mark.parametrize("F", FIELDS, ids=repr)
+    def test_valuation_of_zero_raises(self, F):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            Poly.zero(F).valuation_at(F.one)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_linear_roots_match_one_at_a_time(self, data):
+        F = QQ
+        p = Poly.const(F, data.draw(elements(F).filter(lambda a: a != 0)))
+        linear = st.tuples(st.integers(-6, 6), st.sampled_from((1, 2, 3)), st.integers(1, 3))
+        for a, b, e in data.draw(st.lists(linear, max_size=3)):
+            p = p * Poly.from_roots(F, [Fraction(a, b)] * e)
+        rootless = st.sampled_from(((-2, 0, 1), (1, 0, 1), (-3, 0, 2)))  # z^2-2, z^2+1, 2z^2-3
+        for coeffs in data.draw(st.lists(rootless, max_size=2)):
+            p = p * P(F, *coeffs)
+        roots, residual = linear_roots(p)
+        want_roots, want_residual = oracles.linear_roots_one_at_a_time(p)
+        assert list(roots.items()) == list(want_roots.items())
+        assert residual == want_residual
 
 
 class TestColumnReduce:

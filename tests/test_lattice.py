@@ -272,8 +272,8 @@ class TestFactorize:
     @pytest.mark.parametrize("F, m, colength", [(GF(3), 2, 4), (QQ, 3, 9)], ids=["F3", "Q"])
     def test_seeded_lattices_without_root_search(self, monkeypatch, F, m, colength):
         """Lattices of the benchmark's lattice-ops shapes, supported at
-        {0, 1}; factorize runs with no determinant, Smith form or root
-        search."""
+        {0, 1}; factorize runs with no determinant, Smith form (invariant
+        factors) or root search."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("factorize needs no det, Smith form or root search")
@@ -289,7 +289,7 @@ class TestFactorize:
                     L = _random_step(rng, L, x, j)
                     c -= j
             with monkeypatch.context() as mp:
-                for name in ("det", "smith_normal_form", "linear_roots"):
+                for name in ("det", "invariant_factors", "linear_roots"):
                     mp.setattr(f"latslice.lattice.{name}", forbidden)
                 L1, L2 = factorize(L, {a}, {b})
             div = divisor_of_pair(std, L)
