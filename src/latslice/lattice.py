@@ -114,9 +114,10 @@ def transition_matrix(outer, inner):
     upper triangular with monic diagonal, so each step is an exact division
     by a monic pivot and a remainder means the entry is not polynomial."""
     _check_pair(outer, inner)
+    rows = outer.basis.to_rowlists()
     cols = []
     for v in inner.basis.columns():
-        t, r = _divide(outer.basis, v)
+        t, r = _divide(rows, v)
         if any(not p.is_zero for p in r):
             return None
         cols.append(t)
@@ -124,14 +125,15 @@ def transition_matrix(outer, inner):
 
 
 def _divide(H, v):
-    """(t, r) with v = H*t + r and deg r_i < deg h_ii, for H upper
-    triangular with monic diagonal: row i, bottom up, divides
-    v_i - sum_(j>i) h_ij t_j by h_ii.  r is the reduced representative of v
-    modulo the column span of H."""
-    m = H.rows
-    t, r = [Poly.zero(H.field)] * m, [Poly.zero(H.field)] * m
+    """(t, r) with v = H*t + r and deg r_i < deg h_ii, for H (given as its
+    list of rows) upper triangular with monic diagonal: row i, bottom up,
+    divides v_i - sum_(j>i) h_ij t_j by h_ii.  r is the reduced
+    representative of v modulo the column span of H."""
+    m = len(H)
+    zero = Poly.zero(v[0].field)
+    t, r = [zero] * m, [zero] * m
     for i in range(m - 1, -1, -1):
-        row, x = H.row(i), v[i]
+        row, x = H[i], v[i]
         for j in range(i + 1, m):
             if not row[j].is_zero and not t[j].is_zero:
                 x = x - row[j] * t[j]

@@ -322,14 +322,34 @@ def _reduce_echelon(field, pivots, cols):
     return cols
 
 
+def _is_hermite(M):
+    """Is M square and in Hermite form: zero below the diagonal, monic
+    nonzero diagonal, each entry right of the diagonal of lower degree than
+    its row's pivot?  Length comparisons only; the below-diagonal zeros go
+    first, where a set of generators fails at once."""
+    m, E = M.rows, M.entries
+    if M.cols != m or any(E[i * m + j].coeffs for i in range(1, m) for j in range(i)):
+        return False
+    for i in range(m):
+        d = E[i * m + i].coeffs
+        if not d or d[-1] != M.field.one:
+            return False
+        if any(len(e.coeffs) >= len(d) for e in E[i * m + i + 1 : (i + 1) * m]):
+            return False
+    return True
+
+
 def hermite_basis(M, g=None):
     """Canonical m x m basis of the column span of an m x n matrix of rank m,
     or, given a nonzero polynomial g, of span(M) + g*k[z]^m for any m-row M.
 
     Output is upper triangular with monic diagonal pivots and off-pivot
     entries of smaller degree than their row pivot; equal modules give equal
-    matrices.  Raises ValueError on rank-deficient input.
+    matrices, so with no g an M of that shape is its own Hermite basis and
+    is returned as it is.  Raises ValueError on rank-deficient input.
     """
+    if g is None and _is_hermite(M):
+        return M
     F = M.field
     pivots, cols = _column_echelon(M.columns(), M.rows, g)
     if any(p is None for p in pivots):

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latslice import cli, serialize
+from latslice import cli, serialize, slicecorr
+from latslice.countlab import _random_trivial_chain
 from latslice.fields import GF, QQ
 from latslice.lattice import hecke_type_at, standard_lattice
 from latslice.poly import Poly
@@ -201,6 +203,94 @@ class TestLatticePayloadProperties:
             if code == 0 and argv[1] == "divisor":
                 divisor = json.loads(out)["divisor"]
                 assert sum(sum(entry["type"]) for entry in divisor) == colength
+
+
+# (m, k, types) with m <= 3, k <= 2 and at most 3 steps of types 1..m-1
+# summing to m*k: the shapes of trivial chains
+TRIVIAL_SHAPES = ((2, 1, (1, 1)), (3, 1, (1, 2)), (3, 1, (2, 1)), (3, 1, (1, 1, 1)), (3, 2, (2, 2, 2)))
+
+
+@st.composite
+def chain_slice_payloads(draw):
+    """(chain payload, slice payload) over GF(2), GF(3) or Q with m <= 3,
+    k <= 2 and 0 to 3 steps.  Half are a seeded trivial chain (at times
+    with its points reversed) and its slice point (at times with its flag
+    or eigenvalues redrawn); the rest are random: types in 0..m, bases of
+    small polynomials (some singular), a random block column under the
+    slice pattern (at times off it), random flags and eigenvalue lists."""
+    F = draw(st.sampled_from((GF(2), GF(3), QQ)))
+    if F.is_finite:
+        element = st.integers(0, F.p - 1)
+    else:
+        element = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
+    chain = None
+    if draw(st.booleans()):
+        m, k, types = draw(st.sampled_from(TRIVIAL_SHAPES))
+        rng = random.Random(draw(st.integers(0, 999)))
+        chain = next(filter(None, (_random_trivial_chain(rng, m, k, types, F) for _ in range(20))), None)
+    else:
+        m, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    N = m * k
+    vector = st.lists(element, min_size=N, max_size=N)
+    if chain is not None:
+        chain_data = serialize.chain_to_json(chain)
+        point = serialize.slice_point_to_json(slicecorr.chain_to_slice(chain))
+        n = chain.n
+        if draw(st.booleans()):
+            chain_data["points"] = chain_data["points"][::-1]
+    else:
+        polys = st.lists(element, max_size=3).map(lambda c: Poly(F, c))
+        chain_data = {
+            "field": F.code,
+            "m": m,
+            "points": [F.to_json(draw(element)) for _ in range(n)],
+            "types": draw(st.lists(st.integers(0, m), min_size=n, max_size=n)),
+            "lattices": [
+                serialize.basis_to_json(
+                    PolyMatrix.from_cols(F, [[draw(polys) for _ in range(m)] for _ in range(m)])
+                )
+                for _ in range(n)
+            ],
+        }
+        block = [draw(vector) for _ in range(m)]
+        Y = [[F.to_json(e) for e in r] for r in slicecorr.SliceMatrix(m, k, F, block).entries]
+        if draw(st.integers(0, 5)) == 0:
+            Y[0][0] = F.to_json(F.one)
+        point = {"field": F.code, "m": m, "k": k, "Y": Y, "flag": [], "eigenvalues": []}
+    if chain is None or draw(st.booleans()):
+        steps = draw(st.one_of(st.just(n), st.integers(0, 3)))
+        point["flag"] = [
+            [[F.to_json(e) for e in draw(vector)] for _ in range(draw(st.integers(0, N)))]
+            for _ in range(steps)
+        ]
+    if chain is None or draw(st.booleans()):
+        point["eigenvalues"] = [F.to_json(draw(element)) for _ in range(len(point["flag"]))]
+    return json.dumps(chain_data), json.dumps(point)
+
+
+class TestChainSlicePayloadProperties:
+    """No chain or slice payload makes `chain validate|to-slice` or `slice
+    validate|to-chain` print a traceback: each exits 0, 1 or 2.  What the
+    two bijections print validates on the other side, and a valid slice
+    point maps to a chain or is refused with exit 1."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(case=chain_slice_payloads())
+    def test_exit_codes_without_traceback(self, case):
+        chain, point = case
+        with time_limit(10):
+            for kind, payload, bijection, other in (
+                ("chain", chain, "to-slice", "slice"),
+                ("slice", point, "to-chain", "chain"),
+            ):
+                results = [call([kind, sub, payload]) for sub in ("validate", bijection)]
+                for code, _, err in results:
+                    assert code in (0, 1, 2) and "Traceback" not in err, (kind, err)
+                (valid, _, _), (mapped, out, _) = results
+                if valid == 0:
+                    assert mapped in (0, 1)
+                if mapped == 0:
+                    assert call([other, "validate", out])[0] == 0
 
 
 class TestReusedParser:

@@ -495,6 +495,63 @@ class TestHermiteModulo:
             assert hermite_basis(M, g) == stacked_modulus(M, g)
 
 
+def full_loop(M):
+    """hermite_basis of [M | M], which is never square: the reference for
+    hermite_basis(M), or None when M has rank below m."""
+    try:
+        return hermite_basis(M.hstack(M))
+    except ValueError:
+        return None
+
+
+class TestHermiteFixedPoint:
+    """A square matrix already in Hermite form is its own Hermite basis;
+    each near miss of that form goes through the full loop."""
+
+    @pytest.mark.parametrize("F", FIELDS, ids=repr)
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_fixed_point_and_near_misses(self, F, data):
+        M = data.draw(square_matrices(F))
+        assume(not det(M).is_zero)
+        H = hermite_basis(M)
+        m = H.rows
+        assert hermite_basis(H) is H
+        assert full_loop(H) == H
+
+        def changed(j, col):
+            return PolyMatrix.from_cols(F, H.columns()[:j] + [col] + H.columns()[j + 1 :])
+
+        misses = []
+        if F.p != 2:
+            # the same module with a non-monic pivot
+            i = data.draw(st.integers(0, m - 1))
+            misses.append(changed(i, [e.scale(F.from_int(2)) for e in H.col(i)]))
+        if m > 1:
+            i, j = sorted(data.draw(st.permutations(range(m)))[:2])
+            below = H.col(i)
+            below[j] = data.draw(small_polys(F).filter(lambda p: not p.is_zero))
+            misses.append(changed(i, below))
+            right = H.col(j)
+            right[i] = right[i] + H.entry(i, i)
+            misses.append(changed(j, right))
+            cols = H.columns()
+            cols[i], cols[j] = cols[j], cols[i]
+            misses.append(PolyMatrix.from_cols(F, cols))
+        for X in misses:
+            assert X != H
+            expect = full_loop(X)
+            if expect is None:
+                with pytest.raises(ValueError):
+                    hermite_basis(X)
+            else:
+                assert hermite_basis(X) == expect
+        if F.p != 2:
+            assert hermite_basis(misses[0]) == H
+        if m > 1:
+            assert hermite_basis(misses[-1]) == H
+
+
 class TestValuationAndRoots:
     """Synthetic division against repeated Poly divmod, and the root search
     that removes every copy of a root against one copy per search."""

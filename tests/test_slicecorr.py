@@ -280,7 +280,8 @@ class TestPreimageWalkAgainstGenerators:
 def corrupted_points(rng, p):
     """Copies of p with one flag step changed: W_i replaced by another
     subspace of its dimension that contains W_(i-1), or by any subspace of
-    its dimension; and copies with two eigenvalues swapped."""
+    its dimension; copies with two eigenvalues swapped; and copies with the
+    same flag and one block-column entry of Y changed."""
     F, N, flag = p.Y.field, p.Y.N, p.flag
     n = len(flag)
     for i in range(n - 1):
@@ -304,11 +305,20 @@ def corrupted_points(rng, p):
                 swapped = eig[:]
                 swapped[a], swapped[b] = eig[b], eig[a]
                 yield SlicePoint(p.Y, flag, swapped)
+    m, k = p.Y.m, p.Y.k
+    for _ in range(2):
+        block = [list(q) for q in p.Y.block_column]
+        j, r = rng.randrange(m), rng.randrange(N)
+        block[j][r] = F.add(block[j][r], F.from_int(rng.randint(1, F.p - 1 if F.p else 2)))
+        yield SlicePoint(SliceMatrix(m, k, F, block), flag, p.eigenvalues)
 
 
 class TestValidatePointAgainstEveryColumn:
-    """Imaging the new columns of each step against imaging every column,
-    on seeded points from chain_to_slice with one flag step corrupted."""
+    """Imaging the new columns of each step, and the stability and
+    characteristic-polynomial checks implied by the others, against imaging
+    every column and always computing char_poly, on seeded points from
+    chain_to_slice with one flag step, the eigenvalue order or one entry of
+    Y corrupted."""
 
     @pytest.mark.parametrize("F", [GF(3), GF(5), QQ], ids=["GF3", "GF5", "QQ"])
     def test_corrupted_flags(self, F):
