@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
+from operator import mul
 
 from . import linalg
 from .fields import GF, QQ
@@ -27,6 +28,7 @@ from .slicecorr import (
     Flag,
     SliceMatrix,
     SlicePoint,
+    base_point,
     chain_to_slice,
     slice_to_chain,
     target_poly,
@@ -238,66 +240,73 @@ def enumerate_slice_matrices(m, k, field, trace=None):
     With a trace, only the matrices of that trace, in the same order: the
     trace is that of the last diagonal block, and its last entry, the last
     free entry, is solved from the others, so q^(m*m*k - 1) of them."""
+    for rows in _block_rows(m, k, field, trace):
+        yield SliceMatrix(m, k, field, zip(*rows))
+
+
+def _block_rows(m, k, field, trace):
+    """The last block columns of `enumerate_slice_matrices`, in its order,
+    each as its N rows of m entries."""
     if not field.is_finite:
         raise ValueError("slice enumeration needs a finite field")
-    size = field.p ** (m * m * k)
+    p = field.p
+    size = p ** (m * m * k)
     if size > MAX_SLICE_MATRICES:
         raise ValueError(
-            f"the slice space at m={m}, k={k}, q={field.p} holds {field.p}^{m * m * k}"
+            f"the slice space at m={m}, k={k}, q={p} holds {p}^{m * m * k}"
             f" = {size} matrices, over the limit of {MAX_SLICE_MATRICES}"
         )
-    els = list(field.elements())
     N = m * k
     free = m * m * k if trace is None else m * m * k - 1
     # positions in `values` of the diagonal of the last block but its last
+    # entry, which the trace fixes
     diagonal = [(N - m + i) * m + i for i in range(m - 1)]
-    for values in product(els, repeat=free):
+    for values in product(field.elements(), repeat=free):
         if trace is not None:
-            last = trace
-            for d in diagonal:
-                last = field.sub(last, values[d])
-            values += (last,)
-        yield SliceMatrix(m, k, field, [values[j::m] for j in range(m)])
+            values += ((trace - sum(values[d] for d in diagonal)) % p,)
+        yield [values[r : r + m] for r in range(0, N * m, m)]
 
 
 def _stable_flags(Y, points, types):
-    """All flags W_1 < ... < W_n = k^N compatible with the slice matrix Y:
-    Y-stable steps, scalar x_(n-i+1) and jump pi_(n-i+1) on W_i/W_(i-1).
+    """All flags W_1 < ... < W_n = k^N compatible with the slice matrix Y
+    over a finite field: Y-stable steps, scalar x_(n-i+1) and jump
+    pi_(n-i+1) on W_i/W_(i-1).
 
     The walk goes down from W_n = k^N, as a chain goes down from k[z]^m:
     W_(i-1) is a subspace of W_i of codimension pi_(n-i+1) that contains
     (Y - x_(n-i+1)) W_i, which makes it Y-stable too; a walk that does not
-    end at W_0 = 0 yields nothing.  W_i is Y-stable, so the images of its
-    columns lie in W_i, and W_i is a reduced column echelon basis, so their
-    entries at its pivot rows are their exact coordinates in it.  A subspace
-    of those coordinates, combined back from W_i's columns, is again in
-    reduced column echelon form."""
-    F, N = Y.field, Y.N
+    end at W_0 = 0 yields nothing.  Each W is a reduced column echelon basis
+    carried with its pivot rows.  W is Y-stable, so (Y - x) w lies in W for
+    each column w, and its entries at W's pivot rows are its coordinates in
+    W: only those entries are computed, from Y's rows.  A subspace S of
+    those coordinates, combined back from W's columns, is again in reduced
+    column echelon form, and the pivot row of the column W s is the pivot
+    row of W's column at the pivot of s."""
+    p, N = Y.field.p, Y.N
     n = len(points)
 
-    def down(i, W):
+    def down(i, W, pivots):
         """The flags [W_1, ..., W_i] that end at W."""
         if i == 0:
             if not W:
                 yield []
             return
         x, d = points[n - i], types[n - i]
-        pivots = linalg.pivot_rows(F, W)
-        images = [[F.sub(a, F.mul(x, b)) for a, b in zip(Y.times_z(w), w)] for w in W]
-        coords = [[v[r] for r in pivots] for v in images]
-        for S in linalg.subspaces(F, len(W), len(W) - d, coords):
-            lower = []
-            for s in S:
-                v = [F.zero] * N
-                for c, w in zip(s, W):
-                    if c != F.zero:
-                        v = [F.add(a, F.mul(c, b)) for a, b in zip(v, w)]
-                lower.append(v)
-            for rest in down(i - 1, lower):
-                yield rest + [W]
+        rows = [Y.entries[r] for r in pivots]
+        coords = [
+            [(sum(map(mul, row, w)) - (x if r == c else 0)) % p for r, row in enumerate(rows)]
+            for c, w in enumerate(W)
+        ]
+        W_rows = list(zip(*W))
+        for S in linalg.subspaces(Y.field, len(W), len(W) - d, coords):
+            lower = [[sum(map(mul, s, row)) % p for row in W_rows] for s in S]
+            lower_pivots = [pivots[next(c for c, e in enumerate(s) if e)] for s in S]
+            for flags in down(i - 1, lower, lower_pivots):
+                flags.append(W)
+                yield flags
 
-    identity = [[F.one if r == c else F.zero for r in range(N)] for c in range(N)]
-    yield from down(n, identity)
+    identity = [[int(r == c) for r in range(N)] for c in range(N)]
+    yield from down(n, identity, list(range(N)))
 
 
 def count_slice_fiber(query, witnesses=False):
@@ -308,19 +317,21 @@ def count_slice_fiber(query, witnesses=False):
     The characteristic polynomial prod (z - x_i)^pi_i fixes the trace of Y
     at sum pi_i x_i, so only the matrices of that trace are enumerated, in
     the order of the full enumeration; each still has its characteristic
-    polynomial computed and compared."""
+    polynomial computed and compared, on its dense rows, and a SliceMatrix
+    is built only when it matches."""
     if not query.field.is_finite:
         raise ValueError("slice counting needs a finite field")
     if query.end_condition != "trivial":
         raise ValueError("the slice model counts the trivial locus only")
     t0 = time.perf_counter()
-    F = query.field
+    F, m, k = query.field, query.m, query.k
     target = target_poly(F, query.points, query.types.entries)
     trace = F.neg(target.coeff(target.degree - 1))  # sum pi_i x_i
+    pattern = [row[: m * k - m] for row in base_point(m, k, F).entries]
     matrices = (
-        Y
-        for Y in enumerate_slice_matrices(query.m, query.k, F, trace)
-        if linalg.char_poly(F, Y.entries) == target
+        SliceMatrix(m, k, F, zip(*rows))
+        for rows in _block_rows(m, k, F, trace)
+        if linalg.char_poly(F, list(map(tuple.__add__, pattern, rows))) == target
     )
     count = 0
     found = [] if witnesses else None

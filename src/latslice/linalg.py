@@ -6,10 +6,11 @@ Field matrices are plain lists of rows; subspaces are represented by their
 reduced column echelon basis (a canonical form, so equality of subspaces is
 equality of representations).
 
-The elimination loops of `rref` and `reduce_mod_subspace` work on the
-entries with Python operators, not through Field methods, as `Poly` does:
-over F_p each output entry is reduced mod p once, over Q they are plain
-Fraction operators.  The Field is called once per pivot, for its inverse.
+The elimination loops of `rref`, `reduce_mod_subspace` and `char_poly`
+work on the entries with Python operators, not through Field methods, as
+`Poly` does: over F_p each output entry is reduced mod p once, over Q they
+are plain Fraction operators.  The Field is called once per pivot, for its
+inverse.
 """
 
 from itertools import combinations, product
@@ -137,10 +138,12 @@ def subspaces(field, n, d, containing=()):
         raise ValueError("subspace enumeration needs a finite field")
     if containing:
         I = canonical_subspace(field, containing)
+        if len(I) >= d:
+            if len(I) == d:
+                yield I  # the one choice, as the lift of the zero subspace
+            return
         pivots = pivot_rows(field, I)
         others = [r for r in range(n) if r not in pivots]
-        if len(I) > d:
-            return
         for S in subspaces(field, len(others), d - len(I)):
             lifted = []
             for col in S:
@@ -179,12 +182,12 @@ def char_poly(field, A):
     the characteristic polynomials p_r of the leading r x r blocks of H
     follow from the recurrence along its subdiagonal (Cohen, "A Course in
     Computational Algebraic Number Theory", Alg. 2.2.9)."""
+    p = field.p
     n = len(A)
     H = [list(row) for row in A]
-    zero = field.zero
     for c in range(n - 2):
         # clear column c below the subdiagonal, pivoting on row c+1
-        piv = next((i for i in range(c + 1, n) if H[i][c] != zero), None)
+        piv = next((i for i in range(c + 1, n) if H[i][c]), None)
         if piv is None:
             continue
         if piv != c + 1:
@@ -192,28 +195,35 @@ def char_poly(field, A):
             for row in H:
                 row[piv], row[c + 1] = row[c + 1], row[piv]
         inv = field.inv(H[c + 1][c])
+        top = H[c + 1]
         for i in range(c + 2, n):
-            u = field.mul(H[i][c], inv)
-            if u == zero:
+            if not H[i][c]:
                 continue
             # row_i -= u row_(c+1), then col_(c+1) += u col_i: a similarity
-            H[i] = [field.sub(a, field.mul(u, b)) for a, b in zip(H[i], H[c + 1])]
-            for row in H:
-                row[c + 1] = field.add(row[c + 1], field.mul(u, row[i]))
+            if p is None:
+                u = H[i][c] * inv
+                H[i] = [a - u * b for a, b in zip(H[i], top)]
+                for row in H:
+                    row[c + 1] += u * row[i]
+            else:
+                u = H[i][c] * inv % p
+                H[i] = [(a - u * b) % p for a, b in zip(H[i], top)]
+                for row in H:
+                    row[c + 1] = (row[c + 1] + u * row[i]) % p
     # p_(r+1) = (z - h_rr) p_r - sum_i (h_(r,r-1) ... h_(r-i+1,r-i)) h_(r-i,r) p_(r-i)
     polys = [[field.one]]
     for r in range(n):
         prev = polys[r]
-        p = [zero] + prev  # z p_r
+        out = [field.zero] + prev  # z p_r
         for d, c in enumerate(prev):
-            p[d] = field.sub(p[d], field.mul(H[r][r], c))
+            out[d] -= H[r][r] * c
         t = field.one
         for i in range(1, r + 1):
-            t = field.mul(t, H[r - i + 1][r - i])
-            if t == zero:
+            t *= H[r - i + 1][r - i]
+            if not t:
                 break  # every longer product has this factor too
-            f = field.mul(t, H[r - i][r])
+            f = t * H[r - i][r]
             for d, c in enumerate(polys[r - i]):
-                p[d] = field.sub(p[d], field.mul(f, c))
-        polys.append(p)
+                out[d] -= f * c
+        polys.append(out if p is None else [c % p for c in out])
     return Poly(field, polys[n])

@@ -168,8 +168,11 @@ def validate_point(p):
     for i in range(1, n + 1):
         W = flag.subspace(i - 1)
         x = eig[n - i]  # scalar on W_i/W_(i-1) is x_(n-i+1)
-        if len(W) <= len(prev):
+        jump = len(W) - len(prev)
+        if jump < 1:
             failures.append(f"flag step {i}: inclusion is not strict")
+        elif jump >= Y.m:  # no minuscule type is m or more
+            failures.append(f"flag step {i}: jump {jump} is not in 1..{Y.m - 1}")
         cols = W
         increasing = all(linalg.subspace_contains(F, W, list(col)) for col in prev)
         if not increasing:
@@ -222,6 +225,8 @@ def chain_to_slice(chain):
     if problems:
         raise ValueError("invalid chain: " + "; ".join(problems))
     m, F, n = chain.m, chain.field, chain.n
+    if not n:
+        raise ValueError("the empty chain has no slice point: it has no steps, so k = 0")
     N = sum(chain.types)
     if N % m != 0:
         raise ValueError("total type is not divisible by the rank")

@@ -126,8 +126,11 @@ def every_column_point_failures(p):
     for i in range(1, n + 1):
         W = flag.subspace(i - 1)
         x = eig[n - i]
-        if len(W) <= len(prev):
+        jump = len(W) - len(prev)
+        if jump < 1:
             failures.append(f"flag step {i}: inclusion is not strict")
+        elif jump >= Y.m:
+            failures.append(f"flag step {i}: jump {jump} is not in 1..{Y.m - 1}")
         if not all(linalg.subspace_contains(F, W, list(col)) for col in prev):
             failures.append(f"flag step {i}: flag is not increasing")
         images = [mat_vec(F, Y.entries, col) for col in W]
@@ -145,6 +148,40 @@ def every_column_point_failures(p):
     if linalg.char_poly(F, Y.entries) != target_poly(F, eig, jumps[::-1]):
         failures.append("characteristic polynomial does not match the eigenvalue list")
     return failures
+
+
+# ---------------------------------------------------------------------------
+# Compatible flags of a slice matrix by filtering chains of subspaces: every
+# W_i among all subspaces of its dimension (`linalg.subspaces` with no
+# `containing`), kept when W_(i-1) <= W_i and (Y - x_(n-i+1)) W_i <= W_(i-1),
+# tested with dense products.  The count module walks down from k^N instead,
+# choosing only the subspaces that contain (Y - x) W_i.
+
+def brute_stable_flags(Y, points, types):
+    """All flags [W_1, ..., W_n] compatible with the slice matrix Y, each
+    W_i a reduced column echelon basis.  The conditions link neighbouring
+    steps only, so the chains are filtered one step at a time, from W_0 = 0
+    up; the last step must be k^N."""
+    F, N, n = Y.field, Y.N, len(points)
+    dims = list(itertools.accumulate(types[::-1]))
+    if not dims or dims[-1] != N:
+        return []
+    chains = [[]]
+    for i in range(1, n + 1):
+        x = points[n - i]
+        grown = []
+        for chain in chains:
+            prev = chain[-1] if chain else []
+            for W in linalg.subspaces(F, N, dims[i - 1]):
+                if all(linalg.subspace_contains(F, W, v) for v in prev) and all(
+                    linalg.subspace_contains(
+                        F, prev, [F.sub(a, F.mul(x, b)) for a, b in zip(mat_vec(F, Y.entries, w), w)]
+                    )
+                    for w in W
+                ):
+                    grown.append(chain + [W])
+        chains = grown
+    return chains
 
 
 # ---------------------------------------------------------------------------

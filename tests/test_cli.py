@@ -271,8 +271,9 @@ def chain_slice_payloads(draw):
 class TestChainSlicePayloadProperties:
     """No chain or slice payload makes `chain validate|to-slice` or `slice
     validate|to-chain` print a traceback: each exits 0, 1 or 2.  What the
-    two bijections print validates on the other side, and a valid slice
-    point maps to a chain or is refused with exit 1."""
+    two bijections print validates on the other side, a valid slice point
+    maps to a chain, and a valid chain maps to a slice point or is refused
+    with exit 1 (its end need not be trivial)."""
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(case=chain_slice_payloads())
@@ -288,7 +289,7 @@ class TestChainSlicePayloadProperties:
                     assert code in (0, 1, 2) and "Traceback" not in err, (kind, err)
                 (valid, _, _), (mapped, out, _) = results
                 if valid == 0:
-                    assert mapped in (0, 1)
+                    assert mapped in ((0,) if kind == "slice" else (0, 1)), (kind, payload)
                 if mapped == 0:
                     assert call([other, "validate", out])[0] == 0
 
@@ -415,6 +416,29 @@ class TestChainSlice:
             assert cli.main(argv) == code
         assert "not a field element: '1e99999999'" in capsys.readouterr().err.lower()
 
+    def test_flag_jump_of_m_invalid(self, capsys):
+        # one step of jump 2 = m: no minuscule type carries it, so `slice
+        # validate` and `slice to-chain` both refuse the point
+        point = json.dumps(
+            {"field": "Fp:3", "m": 2, "k": 1, "Y": [[1, 0], [0, 1]],
+             "flag": [[[1, 0], [0, 1]]], "eigenvalues": [1]}
+        )
+        code, out, _ = call(["slice", "validate", point])
+        assert code == 1
+        assert json.loads(out) == {"valid": False, "failures": ["flag step 1: jump 2 is not in 1..1"]}
+        code, out, err = call(["slice", "to-chain", point])
+        assert (code, out) == (1, "")
+        assert "jump 2 is not in 1..1" in err
+
+    def test_empty_chain_to_slice_exit_1(self):
+        # a chain with no steps validates, but has no slice point (k = 0)
+        chain = json.dumps({"field": "Fp:3", "m": 2, "points": [], "types": [], "lattices": []})
+        assert call(["chain", "validate", chain])[0] == 0
+        code, out, err = call(["chain", "to-slice", chain])
+        assert (code, out) == (1, "")
+        assert "the empty chain has no slice point" in err
+        assert "k must be positive" not in err
+
 
 class TestRep:
     def test_invariant_dim(self):
@@ -484,6 +508,59 @@ class TestCount:
         for counter in ("chain-fiber", "slice-fiber"):
             assert cli.main(["count", counter, *args]) == 0
             assert json.loads(capsys.readouterr().out)["query"]["points"] == [0, 1]
+
+
+@st.composite
+def count_arguments(draw):
+    """The options of `count chain-fiber|slice-fiber` over m <= 3, k <= 2
+    and q in {2, 3}, with at most 4 points.  Half are well formed, with
+    types of total m*k half the time (as the trivial and exact-z^k ends
+    need) and else any types in 1..m-1; the others break one thing: the
+    field code, m or k below 1, types outside 1..m-1 or not ints, a point
+    that is not a field element, or a point list of another length.  Chain
+    counts have no size budget, and with 6 steps at m = 3, k = 2, q = 3
+    one runs for over a minute, so 4 is the cap."""
+    q = draw(st.sampled_from((2, 3)))
+    bad = draw(st.integers(0, 13))  # 0..6: nothing malformed
+    field = draw(st.sampled_from(("Fp:4", "Fp:x", "Q", "F3", ""))) if bad == 7 else f"Fp:{q}"
+    m = draw(st.integers(0, 1)) if bad == 8 else draw(st.integers(2, 3))
+    k = draw(st.integers(-1, 0)) if bad == 9 else draw(st.integers(1, 2))
+    if bad in (8, 9, 10, 11) or draw(st.booleans()):
+        lo, hi = (-1, m) if bad == 10 else (1, max(m - 1, 1))
+        types = list(map(str, draw(st.lists(st.integers(lo, hi), max_size=4))))
+        if bad == 11:
+            types.append(draw(st.sampled_from(("a", "1.5", "2/1"))))
+    else:
+        total, types = m * k, []
+        while total:
+            j = draw(st.integers(max(1, total - (3 - len(types)) * (m - 1)), min(m - 1, total)))
+            types.append(str(j))
+            total -= j
+    points = [str(draw(st.integers(-1, q))) for _ in types]
+    if bad == 12 and points:
+        points[draw(st.integers(0, len(points) - 1))] = draw(st.sampled_from(("x", "1/2", "0.5", "1e3")))
+    if bad == 13:
+        points = points[1:] if points and draw(st.booleans()) else points + ["0"]
+    end = draw(st.sampled_from(("trivial", "any", "zk")))
+    return ["--m", str(m), "--k", str(k), "--weights", ",".join(types),
+            "--points", ",".join(points), "--field", field, "--end", end]
+
+
+class TestCountPayloadProperties:
+    """No option values make `count chain-fiber` or `count slice-fiber`
+    print a traceback: each exits 0, 1 or 2 within 10 s.  Where both
+    answer a trivial-end query, they give the same count."""
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(args=count_arguments())
+    def test_exit_codes_without_traceback(self, args):
+        with time_limit(10):
+            results = [call(["count", counter, *args]) for counter in ("chain-fiber", "slice-fiber")]
+        for code, _, err in results:
+            assert code in (0, 1, 2) and "Traceback" not in err, (args, err)
+        (chain, chain_out, _), (sliced, slice_out, _) = results
+        if chain == sliced == 0 and args[-1] == "trivial":
+            assert json.loads(chain_out)["count"] == json.loads(slice_out)["count"], args
 
 
 class TestVerify:

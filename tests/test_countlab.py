@@ -28,7 +28,15 @@ from latslice.countlab import (
 )
 from latslice import linalg
 from latslice.reptheory import WeightSeq, gaussian_binomial
-from latslice.slicecorr import Flag, SlicePoint, slice_to_chain, target_poly, validate_point
+from latslice.slicecorr import (
+    Flag,
+    SliceMatrix,
+    SlicePoint,
+    base_point,
+    slice_to_chain,
+    target_poly,
+    validate_point,
+)
 
 import oracles
 
@@ -296,6 +304,54 @@ class TestChainEnds:
 
 def _trace(Y):
     return sum(Y.entries[i][i] for i in range(Y.N)) % Y.field.p
+
+
+class TestStableFlagsAgainstBrute:
+    """The flag walk against `oracles.brute_stable_flags`, which filters
+    every chain of subspaces of the right dimensions: the same flags, none
+    twice.  Per query, seeded matrices with the query's characteristic
+    polynomial and without it, the base point (nilpotent, and not
+    semisimple for k > 1) and, at k = 1, a Jordan block at the first point;
+    repeated points give several flags per matrix."""
+
+    QUERIES = {
+        (2, 1): [((1, 1), (0, 1)), ((1, 1), (0, 0)), ((1, 1), (1, 1))],
+        (3, 1): [((1, 2), (0, 1)), ((2, 1), (0, 0)), ((1, 1, 1), (0, 0, 1)),
+                 ((1, 1, 1), (0, 0, 0)), ((1, 2), (1, 1))],
+        (2, 2): [((1, 1, 1, 1), (0, 1, 0, 1)), ((1, 1, 1, 1), (0, 0, 0, 0)),
+                 ((1, 1, 1, 1), (0, 0, 1, 1))],
+    }
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (2, 2)])
+    def test_walk_equals_filtered_chains(self, m, k, q):
+        F, N = GF(q), m * k
+        rng = random.Random(f"{m},{k},{q}")
+        key = lambda flags: tuple(tuple(map(tuple, W)) for W in flags)
+        counts = []
+        for types, points in self.QUERIES[m, k]:
+            target = target_poly(F, points, types)
+            trace = sum(j * x for j, x in zip(types, points)) % q
+            fibre = [
+                Y for Y in enumerate_slice_matrices(m, k, F, trace)
+                if linalg.char_poly(F, Y.entries) == target
+            ]
+            matrices = rng.sample(fibre, min(4, len(fibre))) + [
+                SliceMatrix(m, k, F, [[rng.randrange(q) for _ in range(N)] for _ in range(m)])
+                for _ in range(3)
+            ] + [base_point(m, k, F)]
+            if k == 1:
+                x = points[0]
+                jordan = [[x if r == c else int(r == c - 1) for r in range(N)] for c in range(N)]
+                matrices.append(SliceMatrix(m, k, F, jordan))
+            for Y in matrices:
+                walked = [key(flags) for flags in countlab._stable_flags(Y, points, types)]
+                brute = {key(flags) for flags in oracles.brute_stable_flags(Y, points, types)}
+                assert len(set(walked)) == len(walked) == len(brute), (types, points, Y)
+                assert set(walked) == brute, (types, points, Y)
+                counts.append(len(walked))
+        # matrices with no flag, one flag and several flags all occur
+        assert 0 in counts and 1 in counts and max(counts) > 1
 
 
 class TestSliceCount:

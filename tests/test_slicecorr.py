@@ -1,5 +1,6 @@
 """Slice matrices, compatible flags, and the chain <-> matrix bijections."""
 
+import itertools
 import random
 
 import pytest
@@ -318,7 +319,7 @@ class TestValidatePointAgainstEveryColumn:
     characteristic-polynomial checks implied by the others, against imaging
     every column and always computing char_poly, on seeded points from
     chain_to_slice with one flag step, the eigenvalue order or one entry of
-    Y corrupted."""
+    Y corrupted, or with inner flag steps left out."""
 
     @pytest.mark.parametrize("F", [GF(3), GF(5), QQ], ids=["GF3", "GF5", "QQ"])
     def test_corrupted_flags(self, F):
@@ -338,3 +339,35 @@ class TestValidatePointAgainstEveryColumn:
                     assert failures == oracles.every_column_point_failures(bad)
                     verdicts.append(failures == [])
         assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("F", [GF(3), QQ], ids=["GF3", "QQ"])
+    def test_merged_steps(self, F):
+        # a valid point with some inner flag steps left out, and their
+        # eigenvalues with them: each jump of m or more is a failure, in
+        # the oracle's wording, and a point with one does not map to a chain
+        rng = random.Random(61)
+        seen = set()
+        for m, k, types in ((2, 2, (1, 1, 1, 1)), (3, 1, (1, 1, 1)), (3, 2, (1, 2, 1, 2))):
+            chain = next(filter(None, (_random_trivial_chain(rng, m, k, types, F) for _ in range(50))))
+            p = chain_to_slice(chain)
+            n = len(p.flag)
+            for r in range(n):
+                for dropped in itertools.combinations(range(n - 1), r):
+                    keep = [i for i in range(n) if i not in dropped]
+                    flag = Flag(F, p.Y.N, [p.flag.subspace(i) for i in keep])
+                    eig = [p.eigenvalues[n - 1 - i] for i in keep][::-1]
+                    bad = SlicePoint(p.Y, flag, eig)
+                    failures = validate_point(bad)
+                    assert failures == oracles.every_column_point_failures(bad)
+                    dims = [0] + flag.dims()
+                    jumps = [b - a for a, b in zip(dims, dims[1:])]
+                    wide = [
+                        f"flag step {i}: jump {j} is not in 1..{m - 1}"
+                        for i, j in enumerate(jumps, 1) if j >= m
+                    ]
+                    assert [f for f in failures if "jump" in f] == wide
+                    seen.add(bool(wide))
+                    if wide:
+                        with pytest.raises(ValueError, match="is not in 1.."):
+                            slice_to_chain(bad)
+        assert seen == {True, False}
