@@ -27,7 +27,9 @@ def _read_payload(arg):
             text = arg
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and integer literals over the
+        # interpreter's digit limit; RecursionError, nesting too deep
         raise PayloadError(f"malformed JSON: {e}") from None
 
 
@@ -49,20 +51,21 @@ def _parse_ints(text):
 
 
 @functools.cache
-def build_parser():
-    """The argument parser, built on the first call and shared after it
-    (callers must not modify it); each parse_args call returns a fresh
-    Namespace."""
+def _parsers():
+    """The argument parser and its two-word leaves, {(command, subcommand):
+    leaf parser}, built on the first call and shared after it (callers must
+    not modify them)."""
     parser = argparse.ArgumentParser(
         prog="latslice",
         description="Exact lattice models of line-bundle modifications and the slice correspondence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = {}
 
     p_lat = sub.add_parser("lattice", help="lattice operations")
     lat_sub = p_lat.add_subparsers(dest="subcommand", required=True)
     for name in ("hecke-type", "divisor", "splitting-type", "trivial", "factorize"):
-        sp = lat_sub.add_parser(name)
+        sp = leaves["lattice", name] = lat_sub.add_parser(name)
         sp.add_argument("payload", help="inline JSON, a file path, or - for stdin")
         sp.add_argument("--out")
         if name == "hecke-type":
@@ -76,24 +79,24 @@ def build_parser():
     p_chain = sub.add_parser("chain", help="lattice chain operations")
     chain_sub = p_chain.add_subparsers(dest="subcommand", required=True)
     for name in ("validate", "to-slice"):
-        sp = chain_sub.add_parser(name)
+        sp = leaves["chain", name] = chain_sub.add_parser(name)
         sp.add_argument("payload")
         sp.add_argument("--out")
 
     p_slice = sub.add_parser("slice", help="slice point operations")
     slice_sub = p_slice.add_subparsers(dest="subcommand", required=True)
     for name in ("validate", "to-chain"):
-        sp = slice_sub.add_parser(name)
+        sp = leaves["slice", name] = slice_sub.add_parser(name)
         sp.add_argument("payload")
         sp.add_argument("--out")
 
     p_rep = sub.add_parser("rep", help="representation-theory queries")
     rep_sub = p_rep.add_subparsers(dest="subcommand", required=True)
-    sp = rep_sub.add_parser("invariant-dim")
+    sp = leaves["rep", "invariant-dim"] = rep_sub.add_parser("invariant-dim")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--weights", required=True, help="comma-separated pi values")
     sp.add_argument("--out")
-    sp = rep_sub.add_parser("dual")
+    sp = leaves["rep", "dual"] = rep_sub.add_parser("dual")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--out")
@@ -101,7 +104,7 @@ def build_parser():
     p_count = sub.add_parser("count", help="finite-field fiber counting")
     count_sub = p_count.add_subparsers(dest="subcommand", required=True)
     for name in ("chain-fiber", "slice-fiber"):
-        sp = count_sub.add_parser(name)
+        sp = leaves["count", name] = count_sub.add_parser(name)
         sp.add_argument("--m", type=int, required=True)
         sp.add_argument("--k", type=int, required=True)
         sp.add_argument("--weights", required=True)
@@ -110,7 +113,7 @@ def build_parser():
         sp.add_argument("--end", choices=("any", "trivial", "zk"), default="any")
         sp.add_argument("--witnesses", action="store_true")
         sp.add_argument("--out")
-    sp = count_sub.add_parser("fit")
+    sp = leaves["count", "fit"] = count_sub.add_parser("fit")
     sp.add_argument("payload", help='{"samples": [[q, count], ...], "degree": optional}')
     sp.add_argument("--out")
 
@@ -120,7 +123,30 @@ def build_parser():
     p_verify.add_argument("--max-m", type=int, default=None)
     p_verify.add_argument("--randoms", type=int, default=None)
     p_verify.add_argument("--out")
-    return parser
+    return parser, leaves
+
+
+def build_parser():
+    """The argument parser, built on the first call and shared after it
+    (callers must not modify it); each parse_args call returns a fresh
+    Namespace."""
+    return _parsers()[0]
+
+
+def _parse(argv):
+    """What build_parser().parse_args(argv) returns, prints and raises.  A
+    two-word command is parsed by its leaf parser alone: the outer parsers
+    hold nothing but -h and the subparser action, which hands the rest of
+    argv to that same leaf."""
+    leaf = _parsers()[1].get(tuple(argv[:2]))
+    if leaf is None:
+        return build_parser().parse_args(argv)
+    args, extras = leaf.parse_known_args(
+        argv[2:], argparse.Namespace(command=argv[0], subcommand=argv[1])
+    )
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _lattice_command(args):
@@ -249,9 +275,10 @@ def _verify_command(args):
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         # argparse exits 2 on bad usage already; normalize other codes
         return int(e.code) if e.code else 0

@@ -73,6 +73,15 @@ OFF_PATTERN = json.dumps(
     }
 )
 
+# one payload per command with the entry "@" to put a literal in
+MARKED_PAYLOADS = {
+    "lattice divisor": json.dumps(dict(LAT_Q, basis=[[["@", 1]]])),
+    "chain validate": json.dumps(dict(json.loads(CHAIN), field="Q", points=["0", "@"])),
+    "slice validate": json.dumps(dict(json.loads(POINT), field="Q", eigenvalues=[0, "@"])),
+    "count fit": json.dumps({"samples": [[2, "@"], [3, 4]]}),
+}
+
+
 class TestLattice:
     def test_hecke_type(self):
         proc = run("lattice", "hecke-type", "--x", "0", LAT)
@@ -203,6 +212,83 @@ class TestLatticePayloadProperties:
             if code == 0 and argv[1] == "divisor":
                 divisor = json.loads(out)["divisor"]
                 assert sum(sum(entry["type"]) for entry in divisor) == colength
+
+
+class TestTrivialityPayloadProperties:
+    """No lattice payload makes `splitting-type` or `trivial --k` print a
+    traceback.  The splitting type of a lattice of colength c sums to -c,
+    and `trivial --k` answers exactly when k >= 1 and c = m*k, where it is
+    true exactly when the splitting type is (-k, ..., -k)."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(case=lattice_payloads(), data=st.data())
+    def test_trivial_iff_balanced_splitting_type(self, case, data):
+        payload, colength, _, singular = case
+        m = json.loads(payload)["m"]
+        k = data.draw(st.one_of(st.just(colength // m), st.integers(-1, 3)))
+        with time_limit(10):
+            results = [
+                call(["lattice", "splitting-type", payload]),
+                call(["lattice", "trivial", payload, "--k", str(k)]),
+            ]
+        for code, _, err in results:
+            assert code in (0, 1, 2) and "Traceback" not in err, (payload, err)
+            assert (code == 2) == singular, (payload, err)
+        if singular:
+            return
+        (split, split_out, _), (trivial, trivial_out, _) = results
+        splitting = json.loads(split_out)["splitting_type"]
+        assert split == 0 and sum(splitting) == -colength
+        assert (trivial == 0) == (k >= 1 and colength == m * k), (payload, k)
+        if trivial == 0:
+            assert json.loads(trivial_out)["trivial"] == (splitting == [-k] * m), (payload, k)
+
+
+@st.composite
+def rep_arguments(draw):
+    """(m, weights, j) as option strings: m in -1..6, at most 6 weights in
+    -1..7, at times with a token that is not an int, and j in -1..7."""
+    m = draw(st.one_of(st.integers(-1, 6).map(str), st.sampled_from(("x", "2.0"))))
+    weights = list(map(str, draw(st.lists(st.integers(-1, 7), max_size=6))))
+    if draw(st.integers(0, 5)) == 0:
+        weights.append(draw(st.sampled_from(("a", "1.5", "2/1"))))
+    return m, weights, str(draw(st.integers(-1, 7)))
+
+
+class TestRepProperties:
+    """No options make `rep invariant-dim` or `rep dual` print a traceback.
+    invariant-dim answers exactly for weights in 1..m-1 summing to a
+    multiple of m, and the same dimension for the weights reversed; dual
+    answers exactly for j in 1..m-1 and is an involution."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(args=rep_arguments())
+    def test_exit_codes_without_traceback(self, args):
+        m, weights, j = args
+        # option=value, so that a value such as -1,a is not read as an option
+        with time_limit(10):
+            dim = call(["rep", "invariant-dim", f"--m={m}", f"--weights={','.join(weights)}"])
+            dual = call(["rep", "dual", f"--m={m}", f"--j={j}"])
+        for code, _, err in (dim, dual):
+            assert code in (0, 1, 2) and "Traceback" not in err, (args, err)
+            assert (code == 2) == (not m.lstrip("-").isdigit()), (args, err)
+        if dim[0] == 2:
+            return
+        rank, ints = int(m), [int(w) for w in weights if w.lstrip("-").isdigit()]
+        valid = (
+            rank >= 1
+            and len(ints) == len(weights)
+            and all(1 <= w < rank for w in ints)
+            and sum(ints) % rank == 0
+        )
+        assert (dim[0] == 0) == valid, args
+        if valid:
+            reverse = ["rep", "invariant-dim", f"--m={m}", f"--weights={','.join(weights[::-1])}"]
+            assert call(reverse)[1] == dim[1]
+        assert (dual[0] == 0) == (1 <= int(j) < rank), args
+        if dual[0] == 0:
+            back = str(json.loads(dual[1])["dual"])
+            assert json.loads(call(["rep", "dual", f"--m={m}", f"--j={back}"])[1]) == {"dual": int(j)}
 
 
 # (m, k, types) with m <= 3, k <= 2 and at most 3 steps of types 1..m-1
@@ -337,6 +423,160 @@ class TestReusedParser:
         assert len(built) - one <= one
 
 
+# help at every level, missing required options, extra arguments, `--`, an
+# abbreviated option, bad words and `verify`
+ARGV_CORPUS = [
+    [],
+    ["-h"],
+    ["lattice"],
+    ["lattice", "-h"],
+    ["lattice", "divisor", "-h"],
+    ["lattice", "hecke-type", LAT, "--help"],
+    ["count", "chain-fiber", "-h"],
+    ["rep", "dual", "-h"],
+    ["verify", "-h"],
+    ["lattice", "divisor"],
+    ["lattice", "hecke-type", LAT],
+    ["lattice", "trivial", LAT],
+    ["lattice", "factorize", LAT, "--s1", "0"],
+    ["rep", "invariant-dim", "--m", "2"],
+    ["count", "slice-fiber", "--m", "2", "--k", "1"],
+    ["lattice", "divisor", LAT, "extra"],
+    ["lattice", "splitting-type", LAT, "a", "b"],
+    ["rep", "dual", "--m", "3", "--j", "1", "--bogus"],
+    ["lattice", "divisor", "--", LAT],
+    ["lattice", "divisor", LAT, "--", "extra"],
+    ["chain", "validate", "--", "--out"],
+    ["lattice", "divisor", LAT, "--o", "out.json"],
+    ["lattice", "divisor", LAT, "--h"],
+    ["lattice", "hecke-type", LAT, "--x", "-1"],
+    ["lattice", "trivial", LAT, "--k", "one"],
+    ["count", "fit", "{}", "--out", "a.json", "--out", "b.json"],
+    ["lattice", "nope", LAT],
+    ["nope"],
+    ["lattice", "divisor", LAT, "--k=2"],
+    ["verify"],
+    ["verify", "central-leading", "--qs", "2,3"],
+    ["verify", "all", "--max-m", "x"],
+]
+
+# each two-word command with the arguments it requires
+LEAF_REQUIRED = {
+    ("lattice", "hecke-type"): (["0"], ["--x", "0"]),
+    ("lattice", "divisor"): (["0"],),
+    ("lattice", "splitting-type"): (["0"],),
+    ("lattice", "trivial"): (["0"], ["--k", "1"]),
+    ("lattice", "factorize"): (["0"], ["--s1", "0"], ["--s2", "1"]),
+    ("chain", "validate"): (["0"],),
+    ("chain", "to-slice"): (["0"],),
+    ("slice", "validate"): (["0"],),
+    ("slice", "to-chain"): (["0"],),
+    ("rep", "invariant-dim"): (["--m", "2"], ["--weights", "1,1"]),
+    ("rep", "dual"): (["--m", "2"], ["--j", "1"]),
+    ("count", "chain-fiber"): (["--m", "2"], ["--k", "1"], ["--weights", "1,1"], ["--points", "0,1"], ["--field", "Fp:3"]),
+    ("count", "slice-fiber"): (["--m", "2"], ["--k", "1"], ["--weights", "1,1"], ["--points", "0,1"], ["--field", "Fp:3"]),
+    ("count", "fit"): (["0"],),
+}
+ARGV_TOKENS = (
+    "verify", *sorted({word for leaf in LEAF_REQUIRED for word in leaf}), "all", "central-leading",
+    "--out", "--x", "--k", "--s1", "--s2", "--m", "--weights", "--j", "--points", "--field",
+    "--end", "--witnesses", "--qs", "--max-m", "--randoms", "-h", "--help", "--", "-1", "0",
+    "x", "--o", "--nope", "-z", "--k=2", "any", LAT,
+)
+# option-value pairs that some leaves accept
+FRAGMENTS = (["--x", "0"], ["--k", "1"], ["--m", "2"], ["--end", "any"], ["--out", "o.json"],
+             ["--qs", "2"], ["--max-m", "x"], ["--witnesses"])
+HANDLERS = ("_lattice_command", "_chain_command", "_slice_command", "_rep_command",
+            "_count_command", "_verify_command")
+
+
+@st.composite
+def argvs(draw):
+    """At most 8 tokens in any order, some drawn as an option and its value.
+    Half are led by a command word and a subcommand word of it, followed by
+    most of the arguments it requires and up to two more units in some
+    order, so that some parse."""
+    unit = st.one_of(st.sampled_from(ARGV_TOKENS).map(lambda token: [token]), st.sampled_from(FRAGMENTS))
+    if draw(st.booleans()):
+        leaf = draw(st.sampled_from(sorted(LEAF_REQUIRED)))
+        tokens = list(leaf)
+        units = [arg for arg in LEAF_REQUIRED[leaf] if draw(st.integers(0, 4))]
+        units = draw(st.permutations(units + draw(st.lists(unit, max_size=2))))
+    else:
+        tokens = []
+        units = draw(st.lists(unit, max_size=6))
+    return [*tokens, *(token for drawn in units for token in drawn)][:8]
+
+
+class Parsed(Exception):
+    """Raised in place of a handler, carrying the namespace main parsed."""
+
+
+def parsed(parse, argv):
+    """(vars of the namespace, or the exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as e:
+            result = int(e.code) if e.code else 0
+        except Parsed as e:
+            result = e.args[0]
+    return result, out.getvalue(), err.getvalue()
+
+
+def parsed_by_main(argv):
+    """What cli.main parses from argv, with every handler replaced by one
+    that raises Parsed: no handler runs and nothing is written."""
+
+    def handler(args):
+        raise Parsed(vars(args))
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in HANDLERS:
+            patch.setattr(cli, name, handler)
+        return parsed(cli.main, argv)
+
+
+def parsed_by_oracle(argv):
+    return parsed(lambda argv: vars(cli.build_parser().parse_args(argv)), argv)
+
+
+class TestDispatch:
+    """cli.main parses a two-word command with its leaf parser alone: the
+    namespace, exit code, help and usage errors are those of one nested
+    build_parser().parse_args(argv)."""
+
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=range(len(ARGV_CORPUS)))
+    def test_corpus_parses_as_the_full_parser(self, argv):
+        assert parsed_by_main(argv) == parsed_by_oracle(argv)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(argv=argvs())
+    def test_drawn_argvs_parse_as_the_full_parser(self, argv):
+        assert parsed_by_main(argv) == parsed_by_oracle(argv)
+
+    def test_one_parse_per_two_word_call(self, monkeypatch, capsys):
+        parses = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            parses.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert cli.main(["lattice", "trivial", LAT, "--k", "1"]) == 0
+        assert parses == ["latslice lattice trivial"]
+        assert cli.main(["lattice", "trivial", LAT, "--k", "1", "extra"]) == 2
+        assert parses[1:] == ["latslice lattice trivial"]
+
+    def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
+        # the latslice entry point calls main() with no argument
+        monkeypatch.setattr(sys, "argv", ["latslice", "lattice", "trivial", LAT, "--k", "1"])
+        assert cli.main() == 0
+        assert json.loads(capsys.readouterr().out) == {"trivial": True}
+
+
 class TestChainSlice:
     def test_validate(self):
         proc = run("chain", "validate", CHAIN)
@@ -367,6 +607,23 @@ class TestChainSlice:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    @pytest.mark.parametrize("literal", ["nested", "digits", "digits-string"])
+    @pytest.mark.parametrize("command", sorted(MARKED_PAYLOADS))
+    def test_unloadable_json_exit_2(self, command, literal):
+        # json.loads raises RecursionError on deep nesting and ValueError on
+        # an integer literal over the interpreter's digit limit (4300)
+        digits = "1" * 5000
+        payload = {
+            "nested": "[" * 50000,
+            "digits": MARKED_PAYLOADS[command].replace('"@"', digits),
+            "digits-string": MARKED_PAYLOADS[command].replace('"@"', f'"{digits}"'),
+        }[literal]
+        with time_limit(10):
+            code, out, err = call([*command.split(), payload])
+        assert (code, out) == (2, ""), err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if literal != "digits-string":
+            assert "malformed JSON" in err
 
     @pytest.mark.parametrize("subcommand", ["validate", "to-chain"])
     def test_off_pattern_matrix_exit_2(self, subcommand, capsys):
