@@ -69,12 +69,13 @@ def _parsers():
         sp.add_argument("payload", help="inline JSON, a file path, or - for stdin")
         sp.add_argument("--out")
         if name == "hecke-type":
-            sp.add_argument("--x", required=True, help="modification point")
+            sp.add_argument("--x", required=True, help="modification point; give -1/2 as --x=-1/2")
         if name == "trivial":
             sp.add_argument("--k", type=int, required=True)
         if name == "factorize":
-            sp.add_argument("--s1", required=True, help="comma-separated points")
-            sp.add_argument("--s2", required=True, help="comma-separated points")
+            for opt in ("--s1", "--s2"):
+                note = f"comma-separated points; give -1,2 as {opt}=-1,2"
+                sp.add_argument(opt, required=True, help=note)
 
     p_chain = sub.add_parser("chain", help="lattice chain operations")
     chain_sub = p_chain.add_subparsers(dest="subcommand", required=True)
@@ -94,7 +95,8 @@ def _parsers():
     rep_sub = p_rep.add_subparsers(dest="subcommand", required=True)
     sp = leaves["rep", "invariant-dim"] = rep_sub.add_parser("invariant-dim")
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--weights", required=True, help="comma-separated pi values")
+    note = "comma-separated pi values; give -1,1 as --weights=-1,1"
+    sp.add_argument("--weights", required=True, help=note)
     sp.add_argument("--out")
     sp = leaves["rep", "dual"] = rep_sub.add_parser("dual")
     sp.add_argument("--m", type=int, required=True)
@@ -108,7 +110,8 @@ def _parsers():
         sp.add_argument("--m", type=int, required=True)
         sp.add_argument("--k", type=int, required=True)
         sp.add_argument("--weights", required=True)
-        sp.add_argument("--points", required=True)
+        note = "comma-separated points; give -1,0 as --points=-1,0"
+        sp.add_argument("--points", required=True, help=note)
         sp.add_argument("--field", required=True, help='"Fp:<p>"')
         sp.add_argument("--end", choices=("any", "trivial", "zk"), default="any")
         sp.add_argument("--witnesses", action="store_true")

@@ -216,29 +216,21 @@ def intersect(L1, L2):
     return Lattice(L1.field, PolyMatrix.from_cols(L1.field, gens))
 
 
-def slice_column(L, k):
-    """The last block column of the slice matrix of a trivial lattice L: the
-    coefficient vectors of q_1..q_m in its monic basis z^k e_j - q_j(z),
-    deg q_j < k, in the monomial basis (e_1..e_m, ..., z^(k-1) e_1..
-    z^(k-1) e_m) of k[z]^m / L.  None when those m*k monomials are not a
-    basis of the quotient.
+def _monomial_images(L, k):
+    """The staircase map of L: a field matrix with one row per vector of the
+    staircase basis {z^s e_i : s < d_i} of k[z]^m / L (d_i the Hermite
+    diagonal degrees; ordered by i, then s) and one column per monomial
+    z^t e_j, t = 0..k, at index t*m + j, holding its coordinates.  Any
+    colength.
 
-    The quotient has the staircase basis {z^s e_i : s < d_i}, d_i the
-    Hermite diagonal degrees, and z acts on it by the Hermite columns:
-    z^(d_i) e_i is minus column i without its leading term, already
-    reduced (so e_j itself is that vector when d_j = 0).  Applying z k
-    times to each e_j gives the reductions of its z^t e_j, t = 0..k, as
-    staircase coordinates; those with t < k form an N x N field matrix C
-    (N = m*k), and q_j solves C q_j = the reduction of z^k e_j, all m in
-    one solve."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    z acts on the staircase basis by the Hermite columns: z^(d_i) e_i is
+    minus column i without its leading term, already reduced (so e_j itself
+    is that vector when d_j = 0).  Applying z k times to each e_j gives the
+    rest."""
     F, m, H = L.field, L.m, L.basis
     p = F.p
     degs = [int(H.entry(i, i).degree) for i in range(m)]
     N = sum(degs)
-    if N != m * k:
-        raise ValueError(f"colength {N} != m*k = {m * k}")
     starts = [sum(degs[:i]) for i in range(m)]  # z^s e_i is coordinate starts[i] + s
     wrap = []  # wrap[i]: the reduced z^(d_i) e_i
     for i in range(m):
@@ -248,7 +240,7 @@ def slice_column(L, k):
                 w[starts[r] + s] = F.neg(H.entry(r, i).coeff(s))
         wrap.append(w)
     tops = {starts[i] + degs[i] - 1: i for i in range(m) if degs[i]}
-    runs = []  # runs[j][t]: coordinates of the reduced z^t e_j, t = 0..k
+    runs = []
     for j in range(m):
         v = wrap[j] if degs[j] == 0 else [F.one if c == starts[j] else F.zero for c in range(N)]
         run = [v]
@@ -265,9 +257,26 @@ def slice_column(L, k):
             v = out if p is None else [x % p for x in out]
             run.append(v)
         runs.append(run)
-    C = [[runs[j][t][r] for t in range(k) for j in range(m)] for r in range(N)]
-    R = [[run[k][r] for run in runs] for r in range(N)]
-    X = linalg.solve(F, C, R)
+    return [[runs[j][t][r] for t in range(k + 1) for j in range(m)] for r in range(N)]
+
+
+def slice_column(L, k):
+    """The last block column of the slice matrix of a trivial lattice L: the
+    coefficient vectors of q_1..q_m in its monic basis z^k e_j - q_j(z),
+    deg q_j < k, in the monomial basis (e_1..e_m, ..., z^(k-1) e_1..
+    z^(k-1) e_m) of k[z]^m / L.  None when those m*k monomials are not a
+    basis of the quotient.
+
+    The first N = m*k columns of the staircase map form an N x N field
+    matrix C, and q_j solves C q_j = the column of z^k e_j, all m in one
+    solve."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    N = _diagonal_degree(L)
+    if N != L.m * k:
+        raise ValueError(f"colength {N} != m*k = {L.m * k}")
+    A = _monomial_images(L, k)
+    X = linalg.solve(L.field, [row[:N] for row in A], [row[N:] for row in A])
     return None if X is None else [list(q) for q in zip(*X)]
 
 

@@ -1,7 +1,8 @@
 """JSON wire formats: polynomials as dense ascending coefficient lists,
 lattices/chains/slice points as the documented record shapes.  Parsing is
 strict: unknown fields are rejected and every error names the offending
-construct."""
+construct.  Integers are tested by `type(v) is int`: JSON true and false
+load as bools, which isinstance counts as ints."""
 
 from .fields import Field
 from .lattice import Lattice, LatticeChain
@@ -64,7 +65,7 @@ def basis_to_json(M):
 def parse_lattice(data, where="lattice"):
     _require_keys(data, ("m", "field", "basis"), where=where)
     m = data["m"]
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise PayloadError(f"{where}.m: expected a positive integer")
     field = parse_field(data["field"], f"{where}.field")
     basis = parse_basis(field, data["basis"], m, f"{where}.basis")
@@ -90,14 +91,14 @@ def parse_point(field, data, where="point"):
 def parse_chain(data, where="chain"):
     _require_keys(data, ("m", "field", "points", "types", "lattices"), where=where)
     m = data["m"]
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise PayloadError(f"{where}.m: expected a positive integer")
     field = parse_field(data["field"], f"{where}.field")
     if not isinstance(data["points"], list):
         raise PayloadError(f"{where}.points: expected a list of field elements")
     points = [parse_point(field, x, f"{where}.points[{i}]") for i, x in enumerate(data["points"])]
     types = data["types"]
-    if not isinstance(types, list) or not all(isinstance(t, int) for t in types):
+    if not isinstance(types, list) or not all(type(t) is int for t in types):
         raise PayloadError(f"{where}.types: expected a list of integers")
     if not isinstance(data["lattices"], list):
         raise PayloadError(f"{where}.lattices: expected a list of basis matrices")
@@ -127,7 +128,7 @@ def chain_to_json(chain):
 def parse_slice_point(data, where="slice"):
     _require_keys(data, ("m", "k", "field", "Y", "flag", "eigenvalues"), where=where)
     m, k = data["m"], data["k"]
-    if not isinstance(m, int) or not isinstance(k, int) or m < 1 or k < 1:
+    if type(m) is not int or type(k) is not int or m < 1 or k < 1:
         raise PayloadError(f"{where}: m and k must be positive integers")
     field = parse_field(data["field"], f"{where}.field")
     N = m * k
@@ -186,11 +187,11 @@ def parse_fit(data, where="payload"):
     _require_keys(data, ("samples",), optional=("degree",), where=where)
     samples = data["samples"]
     if not isinstance(samples, list) or not all(
-        isinstance(s, list) and len(s) == 2 and all(isinstance(v, int) for v in s)
+        isinstance(s, list) and len(s) == 2 and all(type(v) is int for v in s)
         for s in samples
     ):
         raise PayloadError(f"{where}.samples: expected a list of [q, count] integer pairs")
     degree = data.get("degree")
-    if degree is not None and not (isinstance(degree, int) and degree >= 0):
+    if degree is not None and not (type(degree) is int and degree >= 0):
         raise PayloadError(f"{where}.degree: expected a nonnegative integer")
     return [tuple(s) for s in samples], degree

@@ -16,8 +16,8 @@ from .fields import Field
 from .lattice import (
     Lattice,
     LatticeChain,
+    _monomial_images,
     slice_column,
-    standard_lattice,
     validate_chain,
 )
 from .poly import Poly
@@ -217,10 +217,10 @@ def chain_to_slice(chain):
     points in order.
 
     The monic basis z^k e_j - q_j(z) of L_n gives the last block column q_j
-    of Y (None from slice_column means the chain end is not trivial).  The
-    class of a polynomial vector sum_t z^t v_t is sum_t Y^t v_t, with v_t in
-    the first block, so Horner's rule with Y gives its monomial
-    coordinates."""
+    of Y (None from slice_column means the chain end is not trivial).  Since
+    L_(n-i) contains L_n, W_i = L_(n-i)/L_n is the kernel of the quotient
+    map k[z]^m / L_n -> k[z]^m / L_(n-i), which sends the monomial z^t e_j
+    to its staircase coordinates there; W_n = k^N."""
     problems = validate_chain(chain)
     if problems:
         raise ValueError("invalid chain: " + "; ".join(problems))
@@ -234,45 +234,12 @@ def chain_to_slice(chain):
     q = slice_column(chain.end, k)  # validation makes the colength N
     if q is None:
         raise ValueError("monomial classes are not a basis of the quotient")
-    Y = SliceMatrix(m, k, F, q)
-
-    def monomial_coords(vec):
-        cs = [p.coeffs for p in vec]
-        top = max(map(len, cs)) - 1
-        w = [c[top] if len(c) > top else F.zero for c in cs] + [F.zero] * (N - m)
-        for t in range(top - 1, -1, -1):
-            w = Y.times_z(w)
-            for j, c in enumerate(cs):
-                if t < len(c):
-                    w[j] = F.add(w[j], c[t])
-        return w
-
-    # W_i = image of L_(n-i) in the quotient: W_(i-1) plus the Krylov spans
-    # under Y of the basis columns of L_(n-i).  A Krylov run stops once its
-    # next vector lies in the span so far, which is then Y-stable; the image
-    # has dimension colength(L_(n-i), L_n), the sum of the last i types.
-    # The basis is kept in reduced column echelon form, pivots top to
-    # bottom, so each W_i is already canonical when Flag receives it.
-    subspaces = []
-    basis = []
-    lattices = [standard_lattice(m, F)] + list(chain.lattices)
-    for i in range(1, n + 1):
-        dim = sum(chain.types[n - i :])
-        for col in lattices[n - i].basis.columns():
-            v = monomial_coords(col)
-            while len(basis) < dim:
-                r = linalg.reduce_mod_subspace(F, basis, v)
-                lead = next((e for e in r if e != F.zero), None)
-                if lead is None:
-                    break
-                inv = F.inv(lead)
-                r = [F.mul(inv, e) for e in r]
-                basis = [linalg.reduce_mod_subspace(F, [r], b) for b in basis] + [r]
-                basis.sort(key=lambda b: linalg.pivot_rows(F, [b]))
-                v = Y.times_z(v)
-        subspaces.append(list(basis))
-    flag = Flag(F, N, subspaces)
-    return SlicePoint(Y, flag, chain.points)
+    # L_(n-1), ..., L_1 have colength > 0, so their maps have rows
+    subspaces = [
+        linalg.kernel_basis(F, _monomial_images(L, k - 1)) for L in reversed(chain.lattices[:-1])
+    ]
+    subspaces.append([[F.one if r == c else F.zero for r in range(N)] for c in range(N)])
+    return SlicePoint(SliceMatrix(m, k, F, q), Flag(F, N, subspaces), chain.points)
 
 
 def slice_to_chain(p):

@@ -18,11 +18,12 @@ from latslice.lattice import (
     colength,
     lattice_sum,
     quotient_basis_trivial,
+    slice_column,
     standard_lattice,
 )
 from latslice.poly import Poly, linear_roots
 from latslice.polymatrix import PolyMatrix, det, smith_normal_form
-from latslice.slicecorr import target_poly
+from latslice.slicecorr import Flag, SliceMatrix, target_poly
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,46 @@ def lattices_by_generators(point):
         for i in range(len(flag) - 1, 0, -1)
     ]
     return [Lattice(F, PolyMatrix.from_cols(F, g + gens_n)) for g in lifts + [[]]]
+
+
+# ---------------------------------------------------------------------------
+# Chain to flag by Krylov closure: the class of a polynomial vector
+# sum_t z^t v_t is sum_t Y^t v_t, so Horner's rule with Y gives its monomial
+# coordinates, and W_i is W_(i-1) plus the Krylov spans under Y of those of
+# the basis columns of L_(n-i).  The slice module takes each W_i as the
+# kernel of the staircase map of L_(n-i) instead.
+
+def krylov_flag(chain):
+    """The flag of the slice point of a valid trivial chain."""
+    m, F, n = chain.m, chain.field, chain.n
+    N = sum(chain.types)
+    k = N // m
+    Y = SliceMatrix(m, k, F, slice_column(chain.end, k))
+
+    def monomial_coords(vec):
+        cs = [p.coeffs for p in vec]
+        top = max(map(len, cs)) - 1
+        w = [c[top] if len(c) > top else F.zero for c in cs] + [F.zero] * (N - m)
+        for t in range(top - 1, -1, -1):
+            w = Y.times_z(w)
+            for j, c in enumerate(cs):
+                if t < len(c):
+                    w[j] = F.add(w[j], c[t])
+        return w
+
+    # a Krylov run stops once its next vector lies in the span so far, which
+    # is then Y-stable; W_i has dimension the sum of the last i types
+    subspaces, basis = [], []
+    lattices = [standard_lattice(m, F)] + list(chain.lattices)
+    for i in range(1, n + 1):
+        dim = sum(chain.types[n - i :])
+        for col in lattices[n - i].basis.columns():
+            v = monomial_coords(col)
+            while len(basis) < dim and any(linalg.reduce_mod_subspace(F, basis, v)):
+                basis = linalg.canonical_subspace(F, basis + [v])
+                v = Y.times_z(v)
+        subspaces.append(basis)
+    return Flag(F, N, subspaces)
 
 
 # ---------------------------------------------------------------------------

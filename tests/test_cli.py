@@ -88,6 +88,12 @@ class TestLattice:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["hecke_type"] == [2, 0]
 
+    def test_dash_led_value_after_equals(self, capsys):
+        # argparse reads "--x -1/2" as two options; "--x=-1/2" keeps the value
+        payload = json.dumps(dict(LAT_Q, basis=[[[1, 2]]]))  # 1 + 2z vanishes at -1/2
+        assert cli.main(["lattice", "hecke-type", payload, "--x=-1/2"]) == 0
+        assert json.loads(capsys.readouterr().out)["hecke_type"] == [1]
+
     def test_divisor(self):
         proc = run("lattice", "divisor", LAT)
         assert json.loads(proc.stdout)["divisor"] == [{"point": 0, "type": [2, 0]}]
@@ -646,6 +652,23 @@ class TestChainSlice:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["lattice", "splitting-type", json.dumps(dict(LAT_Q, m=True, basis=[[[1]]]))], "lattice.m"),
+            (["slice", "validate", json.dumps(dict(json.loads(POINT), k=True))], "m and k"),
+            (["chain", "validate", json.dumps(dict(json.loads(CHAIN), types=[True, True]))], "chain.types"),
+            (["count", "fit", json.dumps({"samples": [[2, True], [3, 2]]})], "payload.samples"),
+            (["count", "fit", json.dumps({"samples": [[2, 3], [3, 4]], "degree": False})], "payload.degree"),
+        ],
+        ids=["m", "k", "types", "samples", "degree"],
+    )
+    def test_boolean_is_not_an_integer(self, argv, field):
+        # bool is a subclass of int, so true and false must be refused by name
+        code, out, err = call(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and field in err, err
+
+    @pytest.mark.parametrize(
         "argv, code",
         [
             (["lattice", "divisor", json.dumps(dict(LAT_Q, basis=[[["1/0"]]]))], 2),
@@ -746,6 +769,13 @@ class TestCount:
         with time_limit(10):
             assert cli.main(argv) == 1
         assert "3^18 = 387420489 matrices" in capsys.readouterr().err
+
+    def test_dash_led_points_after_equals(self, capsys):
+        args = ["--m", "2", "--k", "1", "--weights", "1,1", "--points=-1,0",
+                "--field", "Fp:3", "--end", "trivial"]
+        assert cli.main(["count", "chain-fiber", *args]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["count"], out["query"]["points"]) == (12, [2, 0])
 
     def test_fit(self):
         payload = json.dumps({"samples": [[2, 15], [3, 28], [4, 45]], "degree": 2})

@@ -12,6 +12,8 @@ from latslice.countlab import _random_step
 from latslice.fields import GF, QQ
 from latslice.lattice import (
     ColouredDivisor,
+    _divide,
+    _monomial_images,
     HeckeType,
     Lattice,
     LatticeChain,
@@ -494,6 +496,32 @@ class TestTrivialityAgainstSmith:
             quotient_basis_trivial(L, 0)
         with pytest.raises(ValueError, match="colength 4 != m\\*k = 2"):
             quotient_basis_trivial(L, 1)
+
+
+class TestMonomialImagesAgainstDivision:
+    """The staircase coordinates of z^t e_j that slice_column and
+    chain_to_slice share, against the remainder of z^t e_j on division by
+    the Hermite basis, on seeded chain lattices of every colength."""
+
+    @pytest.mark.parametrize("F", [GF(5), QQ], ids=["GF5", "QQ"])
+    def test_seeded_chain_lattices(self, F):
+        rng = random.Random(37)
+        points = [F.from_int(c) for c in (0, 1, 2)]
+        k = 3
+        for _ in range(6):
+            m = rng.randint(2, 4)
+            chain = random_chain(rng, F, m, 4, points)
+            for L in (standard_lattice(m, F),) + tuple(chain.lattices):
+                H = L.basis
+                degs = [int(H.entry(i, i).degree) for i in range(m)]
+                A = _monomial_images(L, k)
+                assert len(A) == sum(degs)
+                for j in range(m):
+                    for t in range(k + 1):
+                        v = [Poly.monomial(F, F.one, t) if i == j else Poly.zero(F) for i in range(m)]
+                        _, r = _divide(H.to_rowlists(), v)
+                        expect = [r[i].coeff(s) for i in range(m) for s in range(degs[i])]
+                        assert [row[t * m + j] for row in A] == expect
 
 
 # Hermite diagonal degrees of the seed-7 roundtrip pool, degree-0 entries

@@ -247,6 +247,43 @@ def chain_at(rng, F, m, k, types, points):
     return LatticeChain(m, F, points, types, lattices)
 
 
+class TestFlagAgainstKrylov:
+    """Each W_i as the kernel of the staircase map of L_(n-i) against the
+    Horner and Krylov-closure flag it replaced, on seeded trivial chains
+    whose points repeat."""
+
+    SHAPES = (
+        (2, 1, (1, 1)),
+        (2, 2, (1,) * 4),
+        (2, 3, (1,) * 6),
+        (3, 1, (1, 2)),
+        (3, 1, (2, 1)),
+        (3, 1, (1, 1, 1)),
+        (4, 1, (1, 2, 1)),
+    )
+
+    @pytest.mark.parametrize("F", [GF(3), GF(5), QQ], ids=["GF3", "GF5", "QQ"])
+    def test_seeded_chains(self, F):
+        rng = random.Random(53)
+        repeated = 0
+        for m, k, types in self.SHAPES:
+            produced = 0
+            for _ in range(200):
+                points = tuple(F.from_int(rng.randrange(2)) for _ in types)
+                chain = chain_at(rng, F, m, k, types, points)
+                if chain is None:
+                    continue
+                flag = chain_to_slice(chain).flag
+                assert flag == oracles.krylov_flag(chain)
+                assert flag.dims() == list(itertools.accumulate(types[::-1]))
+                repeated += len(set(points)) < len(points)
+                produced += 1
+                if produced == 4:
+                    break
+            assert produced == 4
+        assert repeated >= len(self.SHAPES)
+
+
 class TestPreimageWalkAgainstGenerators:
     """The FGLM walk of slice_to_chain against the Hermite form of lifts of
     W_i and the monic basis, on seeded points whose eigenvalues repeat."""
