@@ -2,12 +2,16 @@
 subcommands, plus the bundled verification suites.
 
 Exit codes: 0 success/pass, 1 validation or suite failure, 2 malformed input.
+A reader that closes standard output early (`| head`) gets exit 1 and nothing
+on stderr: stdout is pointed at the null device, so the flush at exit cannot
+fail again.
 """
 
 import argparse
 import functools
 import inspect
 import json
+import os
 import sys
 
 from . import countlab, lattice as lat, reptheory, serialize, slicecorr
@@ -39,7 +43,7 @@ def _emit(obj, out_path=None):
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
 
 
 def _parse_points(field, text):
@@ -301,7 +305,13 @@ def main(argv=None):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _emit(payload, getattr(args, "out", None))
+    try:
+        _emit(payload, getattr(args, "out", None))
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

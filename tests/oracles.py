@@ -152,6 +152,19 @@ def every_column_point_failures(p):
 
 
 # ---------------------------------------------------------------------------
+# Every slice matrix over F_q by brute force: all q^(m*m*k) last block
+# columns, with no trace fixed in advance.  The count module enumerates one
+# trace at a time and solves the last diagonal entry from it.
+
+def slice_matrices(m, k, field):
+    """All slice matrices over a finite field, the free entries of the last
+    block column running through F_q row by row, the last entry fastest."""
+    N = m * k
+    for values in itertools.product(field.elements(), repeat=N * m):
+        yield SliceMatrix(m, k, field, [values[c::m] for c in range(m)])
+
+
+# ---------------------------------------------------------------------------
 # Compatible flags of a slice matrix by filtering chains of subspaces: every
 # W_i among all subspaces of its dimension (`linalg.subspaces` with no
 # `containing`), kept when W_(i-1) <= W_i and (Y - x_(n-i+1)) W_i <= W_(i-1),

@@ -777,6 +777,52 @@ class TestCount:
         out = json.loads(capsys.readouterr().out)
         assert (out["count"], out["query"]["points"]) == (12, [2, 0])
 
+    @pytest.mark.parametrize(
+        "field,m,k,weights,points",
+        [("Fp:3", 2, 1, "1,1", "0,1"), ("Fp:2", 2, 2, "1,1,1,1", "0,0,1,1")],
+    )
+    def test_witness_lists(self, field, m, k, weights, points):
+        # both counters' witness JSON: as many as the count, each valid, and
+        # `slice to-chain` maps the slice witnesses one-to-one onto the chains
+        query = ["--m", str(m), "--k", str(k), "--weights", weights, "--points", points,
+                 "--field", field, "--end", "trivial", "--witnesses"]
+        found = {}
+        for counter, kind in (("chain-fiber", "chain"), ("slice-fiber", "slice")):
+            code, out, err = call(["count", counter, *query])
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert len(report["witnesses"]) == report["count"] > 0
+            for w in report["witnesses"]:
+                code, out, _ = call([kind, "validate", json.dumps(w)])
+                assert code == 0 and json.loads(out) == {"valid": True, "failures": []}
+            found[kind] = report["witnesses"]
+        key = lambda chain: json.dumps(chain, sort_keys=True)
+        mapped = []
+        for w in found["slice"]:
+            code, out, _ = call(["slice", "to-chain", json.dumps(w)])
+            assert code == 0
+            mapped.append(key(json.loads(out)))
+        assert len(set(mapped)) == len(mapped) == len(found["chain"])
+        assert set(mapped) == {key(c) for c in found["chain"]}
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # the reader stops after one line, as `| head -1` does, while the
+        # witness list is still being written
+        argv = ["count", "chain-fiber", "--m", "2", "--k", "2", "--weights", "1,1,1,1",
+                "--points", "0,1,0,1", "--field", "Fp:3", "--end", "trivial", "--witnesses"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latslice.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (1, b"")
+
     def test_fit(self):
         payload = json.dumps({"samples": [[2, 15], [3, 28], [4, 45]], "degree": 2})
         proc = run("count", "fit", payload)

@@ -17,7 +17,6 @@ from latslice.countlab import (
     _chain_ends,
     count_chain_fiber,
     count_slice_fiber,
-    enumerate_slice_matrices,
     fit_q_polynomial,
     step_choices,
     suite_central_leading,
@@ -333,8 +332,8 @@ class TestStableFlagsAgainstBrute:
             target = target_poly(F, points, types)
             trace = sum(j * x for j, x in zip(types, points)) % q
             fibre = [
-                Y for Y in enumerate_slice_matrices(m, k, F, trace)
-                if linalg.char_poly(F, Y.entries) == target
+                Y for Y in oracles.slice_matrices(m, k, F)
+                if _trace(Y) == trace and linalg.char_poly(F, Y.entries) == target
             ]
             matrices = rng.sample(fibre, min(4, len(fibre))) + [
                 SliceMatrix(m, k, F, [[rng.randrange(q) for _ in range(N)] for _ in range(m)])
@@ -357,18 +356,19 @@ class TestStableFlagsAgainstBrute:
 class TestSliceCount:
     @pytest.mark.parametrize("m,k,q", [(1, 1, 3), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
     def test_enumeration_at_a_trace_filters_the_full_one(self, m, k, q):
+        # the trace solve against the brute-force space, filtered by trace
         F = GF(q)
-        full = list(enumerate_slice_matrices(m, k, F))
+        full = list(oracles.slice_matrices(m, k, F))
+        assert len(set(full)) == len(full) == q ** (m * m * k)
         for t in F.elements():
-            got = list(enumerate_slice_matrices(m, k, F, t))
+            got = [SliceMatrix(m, k, F, zip(*rows)) for rows in countlab._block_rows(m, k, F, t)]
             assert got == [Y for Y in full if _trace(Y) == t]
             assert len(got) == q ** (m * m * k - 1)
 
     def test_oversized_space_refused_at_any_trace(self):
-        # the limit is on the whole space, q^(m*m*k), with or without a trace
-        for trace in (None, 0):
-            with pytest.raises(ValueError, match=r"holds 3\^18 = 387420489 matrices"):
-                next(enumerate_slice_matrices(3, 2, GF(3), trace))
+        # the limit is on the whole space, q^(m*m*k), not on one trace
+        with pytest.raises(ValueError, match=r"holds 3\^18 = 387420489 matrices"):
+            next(countlab._block_rows(3, 2, GF(3), 0))
         query = FiberQuery(3, 2, (1,) * 6, (0, 1, 2, 0, 1, 2), GF(3), "trivial")
         with pytest.raises(ValueError, match=r"holds 3\^18 = 387420489 matrices"):
             count_slice_fiber(query)
@@ -386,7 +386,7 @@ class TestSliceCount:
         target = target_poly(F, points, types)
         want = [
             SlicePoint(Y, Flag(F, Y.N, flags), points)
-            for Y in enumerate_slice_matrices(m, k, F)
+            for Y in oracles.slice_matrices(m, k, F)
             if linalg.char_poly(F, Y.entries) == target
             for flags in countlab._stable_flags(Y, points, types)
         ]
@@ -471,26 +471,28 @@ class TestFit:
 
 
 class TestSuites:
-    def test_counts_equal_enumerates_each_slice_space_once(self, monkeypatch):
-        # (2,2,1^4) has no distinct configurations at q=2, and both (3,1)
-        # entries share one slice space
+    def test_counts_equal_calls_count_slice_fiber_once_per_case(self, monkeypatch):
+        # (2,2,1^4) has no distinct configurations at q=2, so the cases are
+        # the two of each (3,1) entry
         calls = []
-        enumerate_all = countlab.enumerate_slice_matrices
+        count_slice = countlab.count_slice_fiber
 
-        def counted(m, k, field):
-            calls.append((m, k, field.p))
-            return enumerate_all(m, k, field)
+        def counted(query):
+            calls.append(query)
+            return count_slice(query)
 
-        monkeypatch.setattr(countlab, "enumerate_slice_matrices", counted)
+        monkeypatch.setattr(countlab, "count_slice_fiber", counted)
         grid = ((2, 2, (1, 1, 1, 1)), (3, 1, (1, 2)), (3, 1, (2, 1)))
         report = suite_counts_equal(grid=grid, qs=(2,))
-        assert calls == [(3, 1, 2)]
-        assert report["pass"] and len(report["cases"]) == 4
+        assert report["pass"] and len(report["cases"]) == len(calls) == 4
         monkeypatch.undo()
-        for case in report["cases"]:
+        for case, query in zip(report["cases"], calls):
             p = case["params"]
-            query = FiberQuery(p["m"], p["k"], p["types"], p["points"], GF(p["q"]), "trivial")
-            assert case["actual"] == count_slice_fiber(query).count, p
+            assert p == {"m": query.m, "k": query.k, "types": list(query.types.entries),
+                         "points": list(query.points), "q": query.field.p}
+            rebuilt = FiberQuery(p["m"], p["k"], p["types"], p["points"], GF(p["q"]), "trivial")
+            assert case["expected"] == count_chain_fiber(rebuilt).count, p
+            assert case["actual"] == count_slice_fiber(rebuilt).count, p
 
     def test_product_fibre(self):
         report = suite_product_fibre(grid=((3, 1, (1, 2)),), qs=(2,))
