@@ -22,7 +22,7 @@ from .lattice import (
     transition_matrix,
 )
 from .poly import Poly
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, _reduce_echelon
 from .reptheory import WeightSeq, gaussian_binomial, invariant_dim
 from .slicecorr import (
     Flag,
@@ -117,7 +117,11 @@ def step_choices(L, x, j, containing=()):
 
 def _steps(L, x, j, containing):
     """The lattices of `step_choices`, one at a time, in the order in which
-    `linalg.subspaces` yields their subspaces."""
+    `linalg.subspaces` yields their subspaces.  Each is spanned by B E_S,
+    for B the Hermite basis of L and E_S the Hermite basis of
+    {v : v(x) in S} (see `_preimage`): a product of two upper triangular
+    matrices with monic diagonals, so reducing it above its diagonal gives
+    the step lattice's Hermite basis with no Euclidean echelon."""
     F = L.field
     shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
     for S in linalg.subspaces(F, L.m, L.m - j, containing):
@@ -126,20 +130,30 @@ def _steps(L, x, j, containing):
 
 def _preimage(L, shifted, vecs):
     """The lattice between (z-x)L and L whose image in L/(z-x)L is the span
-    S of the coordinate vectors `vecs`; shifted[r] is (z-x) B e_r, for B the
-    basis of L.
+    S of the coordinate vectors `vecs`, that is B times {v : v(x) in S}, for
+    B the Hermite basis of L; shifted[r] is (z-x) B e_r.
 
-    Generated by the B v, v in vecs, and the shifted[r] for the rows r that
-    are not pivot rows of S: m generators when vecs is a basis of S.  The
-    others follow.  Let s_c be the reduced echelon basis vector of S with
-    pivot row r_c (1 there, 0 at the other pivot rows), a combination of
-    vecs over k.  Then (z-x) B s_c lies in the module, and
-    shifted[r_c] = (z-x) B s_c - sum over non-pivot rows r of s_c[r] shifted[r]."""
-    F = L.field
-    pivots = linalg.rref(F, vecs)[1]
-    gens = [L.basis.mul_vec([Poly.const(F, c) for c in v]) for v in vecs]
-    gens += [col for r, col in enumerate(shifted) if r not in pivots]
-    return Lattice(F, PolyMatrix.from_cols(F, gens))
+    One rref of the reversed vectors gives a basis s_c of S whose last
+    nonzero entry is a 1 at row r_c, with s_c zero at every other r_c'.  Let
+    E_S have column s_c at each r_c and (z-x) e_r at every other row r.
+    E_S is in Hermite form: upper triangular, diagonal 1 or z-x, and right
+    of a 1 only zeros, right of a z-x only constants.  It generates
+    {v : v(x) in S}: its columns lie there, and both have colength
+    dim k^m/S = deg det E_S in k[z]^m.  So B E_S is a basis of the lattice,
+    upper triangular with monic diagonal b_rr e_rr, and reducing its entries
+    above the diagonal gives the Hermite basis, which `Lattice` keeps."""
+    F, m = L.field, L.m
+    rows, ends = linalg.rref(F, [v[::-1] for v in vecs])
+    cols = [list(col) for col in shifted]
+    basis = L.basis.columns()
+    for row, e in zip(rows, ends):
+        col = basis[m - 1 - e]  # B s_c, from the 1 of s_c and its entries above
+        for t in range(e + 1, m):
+            if row[t]:
+                col = [a + b.scale(row[t]) for a, b in zip(col, basis[m - 1 - t])]
+        cols[m - 1 - e] = col
+    cols = _reduce_echelon(F, list(range(m)), cols)
+    return Lattice(F, PolyMatrix.from_cols(F, cols))
 
 
 def _chain_ends(m, k, field, points):

@@ -761,6 +761,22 @@ class TestCount:
         slice_jobs = ["count", "slice-fiber", "--m", "2", "--k", "1", "--jobs", "2", *base]
         assert cli.main([*slice_jobs, "--end", "trivial"]) == 2
 
+    @pytest.mark.parametrize(
+        "field,chain_error,slice_error",
+        [
+            ("Fp:4", "4 is not prime", "4 is not prime"),
+            ("Q", "chain counting needs a finite field", "slice counting needs a finite field"),
+        ],
+    )
+    def test_counts_off_finite_fields_exit_1(self, field, chain_error, slice_error):
+        # a well-formed field code that no counter runs over is an invalid
+        # query, as a malformed prime is
+        args = ["--m", "2", "--k", "1", "--weights", "1,1", "--points", "0,1",
+                "--field", field, "--end", "trivial"]
+        for counter, message in (("chain-fiber", chain_error), ("slice-fiber", slice_error)):
+            code, out, err = call(["count", counter, *args])
+            assert (code, out) == (1, "") and message in err, (counter, err)
+
     def test_oversized_slice_space_refused(self, capsys):
         argv = [
             "count", "slice-fiber", "--m", "3", "--k", "2", "--weights", "1,2,1,2",

@@ -1,5 +1,6 @@
 """Fiber counting in both models, polynomial fitting, verification suites."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from latslice.fields import GF, QQ
 from latslice.lattice import Lattice, contains, standard_lattice
 from latslice.poly import Poly
 from latslice.polymatrix import PolyMatrix
-from latslice import countlab
+from latslice import countlab, lattice, polymatrix
 from latslice.countlab import (
     END_CONDITIONS,
     FiberQuery,
@@ -83,34 +84,58 @@ class TestStepChoices:
                     assert set(got) == want, (L, x, j)
 
 
+@contextlib.contextmanager
+def no_column_echelon():
+    """Within it the Euclidean column echelon raises, both where
+    `hermite_basis` calls it and where `lattice.intersect` does."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("Euclidean column echelon called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polymatrix, "_column_echelon", refused)
+        mp.setattr(lattice, "_column_echelon", refused)
+        yield
+
+
 class TestPreimageAgainstAllGenerators:
-    """`_preimage` passes the columns of (z - x)L only at the rows that are
-    not pivot rows of the subspace; it must give the lattice that the lifts
-    and all m columns of (z - x)L generate."""
+    """`_preimage` builds B E_S, B the Hermite basis of L and E_S the Hermite
+    basis of {v : v(x) in S}, and reduces it above its diagonal.  It must
+    give the lattice that the lifts B v (v in vecs) and all m columns of
+    (z - x)B generate, which the oracle Hermite-reduces itself, and reach
+    it with no Euclidean column echelon: the `Lattice` fallback would give
+    the right lattice from a wrong construction too."""
 
     @staticmethod
     def base_lattices(rng, F, m):
-        # k[z]^m and a few lattices one or two random steps below it
+        # k[z]^m and lattices three or four random steps below it, each step
+        # at 0 or 1, so that points repeat and the Hermite diagonals carry
+        # powers of z and z - 1
         out = [standard_lattice(m, F)]
         for _ in range(3):
             L = out[0]
-            for _ in range(rng.randint(1, 2)):
-                L = countlab._random_step(rng, L, F.from_int(rng.randint(0, 2)), rng.randint(1, m - 1))
+            for _ in range(rng.randint(3, 4)):
+                L = countlab._random_step(rng, L, F.from_int(rng.randint(0, 1)), rng.randint(1, m - 1))
             out.append(L)
+        assert max(L.basis.entry(i, i).degree for L in out for i in range(m)) >= 2
         return out
 
     @pytest.mark.parametrize("F", [GF(2), GF(3), GF(5)], ids=repr)
     def test_every_step_subspace(self, F):
         rng = random.Random(43)
-        xs = [x for x in F.elements() if x != F.zero]
-        for m in (2, 3):
+        # m = 4 has 1118 step subspaces at q = 5, so it stops at q = 3
+        for m in (2, 3, 4) if F.p <= 3 else (2, 3):
             for L in self.base_lattices(rng, F, m):
-                x = xs[rng.randrange(len(xs))]
-                shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
-                for j in range(1, m):
-                    for S in linalg.subspaces(F, m, m - j):
-                        want = oracles.preimage_by_all_generators(L, x, S)
-                        assert countlab._preimage(L, shifted, S) == want
+                # the steps' own points, where B's diagonal has work for the
+                # reduction, and one more point
+                for x in (F.zero, F.one, F.from_int(rng.randint(2, F.p + 1))):
+                    shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
+                    for j in range(1, m):
+                        for S in linalg.subspaces(F, m, m - j):
+                            want = oracles.preimage_by_all_generators(L, x, S)
+                            with no_column_echelon():
+                                got = countlab._preimage(L, shifted, S)
+                            assert got == want, (L, x, S)
 
     @pytest.mark.parametrize("F", [GF(2), GF(3), GF(5), QQ], ids=repr)
     def test_random_step_vectors(self, F):
@@ -128,17 +153,53 @@ class TestPreimageAgainstAllGenerators:
                     return vecs
 
         rng = random.Random(47)
-        for m in (2, 3):
+        for m in (2, 3, 4):
             for L in self.base_lattices(rng, F, m):
                 for j in range(1, m):
-                    x = F.from_int(rng.randint(1, 2))
+                    x = F.from_int(rng.randint(0, 2))
                     seed = rng.randrange(10**6)
                     vecs = draw(random.Random(seed), m, j)
                     want = oracles.preimage_by_all_generators(L, x, vecs)
-                    assert countlab._random_step(random.Random(seed), L, x, j) == want
                     shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
                     combo = [F.add(a, F.mul(F.from_int(2), b)) for a, b in zip(vecs[0], vecs[-1])]
-                    assert countlab._preimage(L, shifted, vecs + [combo]) == want
+                    with no_column_echelon():
+                        assert countlab._random_step(random.Random(seed), L, x, j) == want
+                        assert countlab._preimage(L, shifted, vecs + [combo]) == want
+
+
+class TestStepsRunNoColumnEchelon:
+    """Every step lattice reaches `Lattice` already in Hermite form, so the
+    chain walk never runs the Euclidean column echelon.  A step lattice
+    left unreduced would still count right, through the generic Hermite
+    reduction in `Lattice`; only this guard sees it."""
+
+    @pytest.mark.parametrize(
+        "m,k,types,points,q,end,want",
+        [
+            (2, 3, (1,) * 6, (0,) * 6, 2, "exact-zk", 87),
+            # at q = 2 the point 2 is 0 again
+            (3, 1, (1, 1, 1), (0, 1, 2), 2, "trivial", 168),
+            (3, 1, (1, 1, 1), (0, 1, 2), 3, "trivial", 1404),
+        ],
+    )
+    @pytest.mark.parametrize("witnesses", [False, True])
+    def test_count_chain_fiber(self, m, k, types, points, q, end, want, witnesses):
+        query = FiberQuery(m, k, types, points, GF(q), end)
+        with no_column_echelon():
+            assert count_chain_fiber(query, witnesses=witnesses).count == want
+
+    def test_step_choices(self):
+        # from k[z]^m, and from lattices with powers of z and z - 1 on the
+        # diagonal, at those points
+        F = GF(3)
+        rng = random.Random(53)
+        for m in (2, 3, 4):
+            lattices = TestPreimageAgainstAllGenerators.base_lattices(rng, F, m)
+            with no_column_echelon():
+                for L in lattices:
+                    for x in (F.zero, F.one):
+                        for j in range(1, m):
+                            assert len(set(step_choices(L, x, j))) == gaussian_binomial(m, j, 3)
 
 
 class TestChainCount:
