@@ -13,6 +13,7 @@ from .fields import GF, QQ
 from .lattice import (
     Lattice,
     LatticeChain,
+    _preimage,
     divisor_of_pair,
     factorize,
     intersect,
@@ -22,7 +23,7 @@ from .lattice import (
     transition_matrix,
 )
 from .poly import Poly
-from .polymatrix import PolyMatrix, _reduce_echelon
+from .polymatrix import PolyMatrix
 from .reptheory import WeightSeq, gaussian_binomial, invariant_dim
 from .slicecorr import (
     Flag,
@@ -56,7 +57,12 @@ class FiberQuery:
         self.field = field
         kinds = int if field.is_finite else (int, Fraction)
         for x in self.points:
-            if isinstance(x, bool) or not isinstance(x, kinds):
+            # an element of F_p is an int in range(p): 3 is not 0 over F_3
+            if (
+                isinstance(x, bool)
+                or not isinstance(x, kinds)
+                or field.is_finite and not 0 <= x < field.p
+            ):
                 raise ValueError(f"point {x!r} is not an element of {field!r}")
         self.end_condition = end_condition
         if len(self.points) != len(self.types):
@@ -117,43 +123,10 @@ def step_choices(L, x, j, containing=()):
 
 def _steps(L, x, j, containing):
     """The lattices of `step_choices`, one at a time, in the order in which
-    `linalg.subspaces` yields their subspaces.  Each is spanned by B E_S,
-    for B the Hermite basis of L and E_S the Hermite basis of
-    {v : v(x) in S} (see `_preimage`): a product of two upper triangular
-    matrices with monic diagonals, so reducing it above its diagonal gives
-    the step lattice's Hermite basis with no Euclidean echelon."""
-    F = L.field
-    shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
-    for S in linalg.subspaces(F, L.m, L.m - j, containing):
-        yield _preimage(L, shifted, S)
-
-
-def _preimage(L, shifted, vecs):
-    """The lattice between (z-x)L and L whose image in L/(z-x)L is the span
-    S of the coordinate vectors `vecs`, that is B times {v : v(x) in S}, for
-    B the Hermite basis of L; shifted[r] is (z-x) B e_r.
-
-    One rref of the reversed vectors gives a basis s_c of S whose last
-    nonzero entry is a 1 at row r_c, with s_c zero at every other r_c'.  Let
-    E_S have column s_c at each r_c and (z-x) e_r at every other row r.
-    E_S is in Hermite form: upper triangular, diagonal 1 or z-x, and right
-    of a 1 only zeros, right of a z-x only constants.  It generates
-    {v : v(x) in S}: its columns lie there, and both have colength
-    dim k^m/S = deg det E_S in k[z]^m.  So B E_S is a basis of the lattice,
-    upper triangular with monic diagonal b_rr e_rr, and reducing its entries
-    above the diagonal gives the Hermite basis, which `Lattice` keeps."""
-    F, m = L.field, L.m
-    rows, ends = linalg.rref(F, [v[::-1] for v in vecs])
-    cols = [list(col) for col in shifted]
-    basis = L.basis.columns()
-    for row, e in zip(rows, ends):
-        col = basis[m - 1 - e]  # B s_c, from the 1 of s_c and its entries above
-        for t in range(e + 1, m):
-            if row[t]:
-                col = [a + b.scale(row[t]) for a, b in zip(col, basis[m - 1 - t])]
-        cols[m - 1 - e] = col
-    cols = _reduce_echelon(F, list(range(m)), cols)
-    return Lattice(F, PolyMatrix.from_cols(F, cols))
+    `linalg.subspaces` yields their subspaces, each built in closed form by
+    `lattice._preimage`."""
+    for S in linalg.subspaces(L.field, L.m, L.m - j, containing):
+        yield _preimage(L, x, S)
 
 
 def _chain_ends(m, k, field, points):
@@ -522,11 +495,10 @@ def _random_step(rng, L, x, j):
         sample = lambda: els[rng.randrange(len(els))]
     else:
         sample = lambda: F.from_int(rng.randint(-3, 3))
-    shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
     for _ in range(50):
         vecs = [[sample() for _ in range(m)] for _ in range(m - j)]
         if linalg.rank(F, vecs) == m - j:
-            return _preimage(L, shifted, vecs)
+            return _preimage(L, x, vecs)
     return None
 
 

@@ -10,10 +10,11 @@ from functools import cache
 from math import prod
 
 from . import linalg
-from .poly import Poly, linear_roots
+from .poly import Poly, gcd_cofactor, linear_roots
 from .polymatrix import (
     PolyMatrix,
     _column_echelon,
+    _reduce_echelon,
     column_reduce,
     det,
     hermite_basis,
@@ -104,6 +105,36 @@ def standard_lattice(m, field):
     if m < 1:
         raise ValueError("rank must be positive")
     return Lattice(field, PolyMatrix.identity(field, m))
+
+
+def _preimage(L, x, vecs):
+    """The lattice between (z-x)L and L whose image in L/(z-x)L is the span
+    S of the coordinate vectors `vecs`, that is B times {v : v(x) in S}, for
+    B the Hermite basis of L.
+
+    One rref of the reversed vectors gives a basis s_c of S whose last
+    nonzero entry is a 1 at row r_c, with s_c zero at every other r_c'.  Let
+    E_S have column s_c at each r_c and (z-x) e_r at every other row r.
+    E_S is in Hermite form: upper triangular, diagonal 1 or z-x, and right
+    of a 1 only zeros, right of a z-x only constants.  It generates
+    {v : v(x) in S}: its columns lie there, and both have colength
+    dim k^m/S = deg det E_S in k[z]^m.  So B E_S is a basis of the lattice,
+    upper triangular with monic diagonal b_rr e_rr, and reducing its entries
+    above the diagonal gives the Hermite basis, which `Lattice` keeps."""
+    F, m = L.field, L.m
+    rows, ends = linalg.rref(F, [v[::-1] for v in vecs])
+    basis = L.basis.columns()
+    cols = [None] * m
+    for row, e in zip(rows, ends):
+        col = basis[m - 1 - e]  # B s_c, from the 1 of s_c and its entries above
+        for t in range(e + 1, m):
+            if row[t]:
+                col = [a + b.scale(row[t]) for a, b in zip(col, basis[m - 1 - t])]
+        cols[m - 1 - e] = col
+    shift = Poly(F, (F.neg(x), F.one))
+    cols = [[e * shift for e in basis[r]] if c is None else c for r, c in enumerate(cols)]
+    cols = _reduce_echelon(F, list(range(m)), cols)
+    return Lattice(F, PolyMatrix.from_cols(F, cols))
 
 
 def transition_matrix(outer, inner):
@@ -299,28 +330,46 @@ def factorize(L, S1, S2):
 
     L^(i) = L + g_i * standard, where g_i is the product of (z - x)^v_x(d)
     over x in S_i and d = det(basis(L)), the product of the monic Hermite
-    diagonal.  Since basis * adj(basis) = d * I with adj(basis) polynomial,
-    d * standard lies in L; so L^(i) = L + f_i^c * standard for f_i the
-    product of (z - x) over S_i and c the colength, as g_i = gcd(d, f_i^c).
-    The divisor of L^(i) is the divisor of L restricted to S_i and the two
-    factors intersect back to L.  Each factor is one Hermite reduction of
-    basis(L) modulo g_i (`hermite_basis(basis, g_i)`); a constant g_i gives
-    the standard lattice.
+    diagonal h_11..h_mm.  Since basis * adj(basis) = d * I with adj(basis)
+    polynomial, d * standard lies in L; so L^(i) = L + f_i^c * standard for
+    f_i the product of (z - x) over S_i and c the colength, as g_i =
+    gcd(d, f_i^c).  The divisor of L^(i) is the divisor of L restricted to
+    S_i and the two factors intersect back to L.  The divisor's support
+    lies in S1 | S2 exactly when g1 * g2 = d, so no root search or Smith
+    form is needed.
 
-    The divisor's support lies in S1 | S2 exactly when g1 * g2 = d, so no
-    root search or Smith form is needed.
+    Each factor is built in closed form.  For g = g_i, take u_r =
+    gcd(h_rr, g) and a_r with a_r h_rr = u_r mod g, and let column r be
+    a_r B e_r with its diagonal entry a_r h_rr replaced by u_r, for B the
+    Hermite basis of L.  The change is a multiple of g e_r, so each column
+    lies in L + g * standard, and the matrix is upper triangular with monic
+    diagonal u_1..u_m.  Its colength is sum deg u_r = deg g, as u_r is the
+    part of h_rr at the roots of g, which hold all of d there.  That is the
+    colength of L + g * standard too: k[z]^m / L splits into its parts at
+    the roots of g and elsewhere, g kills the first and is invertible on
+    the second, so dividing by g leaves the first, of dimension deg g.  So
+    the columns span the factor, and reducing their entries above the
+    diagonal gives its Hermite basis with no Euclidean echelon.
     """
     S1, S2 = set(S1), set(S2)
     if S1 & S2:
         raise ValueError("point sets must be disjoint")
-    F = L.field
-    d = prod((L.basis.entry(i, i) for i in range(L.m)), start=Poly.one(F))
+    F, m = L.field, L.m
+    d = prod((L.basis.entry(i, i) for i in range(m)), start=Poly.one(F))
     g1, g2 = (
         Poly.from_roots(F, [x for x in S for _ in range(d.valuation_at(x))]) for S in (S1, S2)
     )
     if g1 * g2 != d:
         raise ValueError("divisor support not covered by the point sets")
-    return tuple(Lattice(F, hermite_basis(L.basis, g)) for g in (g1, g2))
+    factors = []
+    for g in (g1, g2):
+        cols = L.basis.columns()
+        for r in range(m):
+            u, a = gcd_cofactor(cols[r][r], g)
+            cols[r] = [e * a for e in cols[r][:r]] + [u] + cols[r][r + 1 :]
+        cols = _reduce_echelon(F, list(range(m)), cols)
+        factors.append(Lattice(F, PolyMatrix.from_cols(F, cols)))
+    return tuple(factors)
 
 
 def _check_pair(L1, L2):

@@ -264,11 +264,23 @@ class Poly:
         return " + ".join(terms)
 
 
+def gcd_cofactor(a, b):
+    """(u, s): u the monic gcd of a and b, gcd(0, 0) = 0, and s*a = u modulo
+    b.  Euclid's algorithm, carrying the cofactor of a only."""
+    F = a.field
+    s, t = Poly.one(F), Poly.zero(F)
+    while not b.is_zero:
+        q, r = divmod(a, b)
+        a, b, s, t = b, r, t, s - q * t
+    if a.is_zero:
+        return a, s
+    c = F.inv(a.lc)
+    return a.scale(c), s.scale(c)
+
+
 def poly_gcd(a, b):
     """Monic gcd; gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    return gcd_cofactor(a, b)[0]
 
 
 # Over Q a divisor search is refused when the constant or leading numerator

@@ -7,11 +7,7 @@ reduction are Euclidean algorithms; a transform rides along as extra rows.
 The Smith loop pivots in the top-left block of the rows it is given and
 carries any further rows and columns as riders: `smith_normal_form` gives it
 [[M, I], [I, 0]] to read U and V off the borders, `invariant_factors` gives
-it M alone.  `hermite_basis(M, g)` reduces modulo a known multiple g of the
-module, as in Hermite normal form computation modulo the determinant
-(Domich, Kannan and Trotter 1987; Cohen, "A Course in Computational
-Algebraic Number Theory", Alg. 2.4.8): the column g*e_i joins the echelon
-loop at row i, and the entries above the current row are kept reduced mod g.
+it M alone.
 """
 
 from . import linalg
@@ -256,16 +252,11 @@ def _smith_diagonalize(F, a, n):
             a[t] = [e.scale(inv) for e in a[t]]
 
 
-def _column_echelon(cols, m, g=None):
+def _column_echelon(cols, m):
     """Triangularize columns over k[z] by unimodular column operations,
     pivoting on rows m-1..0 only.  Rows below m ride along with every
     operation, so identity rows stacked under a matrix M come out as a
     unimodular V with M*V = the echelon form.
-
-    With a modulus g (and no rider rows) the columns span span(cols) +
-    g*k[z]^m: the column g*e_i joins when row i is reached, and every column
-    an operation changes, or that becomes the pivot of row i, has its
-    entries above row i reduced mod g, as g*e_r joins later for each r < i.
 
     Returns (pivots, cols): pivots[i] is the column index holding the pivot
     of row i (or None); the columns holding no pivot are zero in rows
@@ -275,9 +266,6 @@ def _column_echelon(cols, m, g=None):
     free = list(range(len(cols)))
     pivots = [None] * m
     for i in range(m - 1, -1, -1):
-        if g is not None:
-            free.append(len(cols))
-            cols.append([g if r == i else Poly.zero(g.field) for r in range(m)])
         while True:
             live = [j for j in free if not cols[j][i].is_zero]
             if not live:
@@ -286,8 +274,6 @@ def _column_echelon(cols, m, g=None):
             if len(live) == 1:
                 pivots[i] = piv
                 free.remove(piv)
-                if g is not None:
-                    cols[piv][:i] = [e % g if e.degree >= g.degree else e for e in cols[piv][:i]]
                 break
             for j in live:
                 if j == piv:
@@ -295,8 +281,6 @@ def _column_echelon(cols, m, g=None):
                 q = cols[j][i] // cols[piv][i]
                 for r in range(len(cols[j])):
                     cols[j][r] = cols[j][r] - q * cols[piv][r]
-                if g is not None:
-                    cols[j][:i] = [e % g if e.degree >= g.degree else e for e in cols[j][:i]]
     return pivots, cols
 
 
@@ -339,19 +323,18 @@ def _is_hermite(M):
     return True
 
 
-def hermite_basis(M, g=None):
-    """Canonical m x m basis of the column span of an m x n matrix of rank m,
-    or, given a nonzero polynomial g, of span(M) + g*k[z]^m for any m-row M.
+def hermite_basis(M):
+    """Canonical m x m basis of the column span of an m x n matrix of rank m.
 
     Output is upper triangular with monic diagonal pivots and off-pivot
     entries of smaller degree than their row pivot; equal modules give equal
-    matrices, so with no g an M of that shape is its own Hermite basis and
-    is returned as it is.  Raises ValueError on rank-deficient input.
+    matrices, so an M of that shape is its own Hermite basis and is returned
+    as it is.  Raises ValueError on rank-deficient input.
     """
-    if g is None and _is_hermite(M):
+    if _is_hermite(M):
         return M
     F = M.field
-    pivots, cols = _column_echelon(M.columns(), M.rows, g)
+    pivots, cols = _column_echelon(M.columns(), M.rows)
     if any(p is None for p in pivots):
         raise ValueError("generators do not span a rank-m module")
     cols = _reduce_echelon(F, pivots, cols)

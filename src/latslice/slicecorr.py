@@ -14,14 +14,14 @@ from functools import cache
 from . import linalg
 from .fields import Field
 from .lattice import (
-    Lattice,
     LatticeChain,
     _monomial_images,
+    _preimage,
     slice_column,
+    standard_lattice,
     validate_chain,
 )
 from .poly import Poly
-from .polymatrix import PolyMatrix
 
 
 class SliceMatrix:
@@ -243,75 +243,38 @@ def chain_to_slice(chain):
 
 
 def slice_to_chain(p):
-    """The inverse bijection: L_n is the kernel of the evaluation map sending
-    z^i e_j (i < k) to the standard basis and z to Y, and L_(n-i) is the
-    preimage of W_i under it (W_0 = 0 gives L_n).  Each Hermite basis is
-    read off Y and W_i by `_preimage_basis`, with no polynomial division."""
+    """The inverse bijection: L_n is the kernel of the evaluation map ev
+    sending z^t e_r to Y^t e_r, and L_(n-i) is the preimage of W_i under it
+    (W_0 = 0 gives L_n).
+
+    Each L_i is a step from L_(i-1) at x_i, built by `lattice._preimage`:
+    (Y - x_i) W_(n-i+1) <= W_(n-i) gives (z - x_i) L_(i-1) <= L_i, and the
+    image of L_i in L_(i-1)/(z - x_i)L_(i-1) is S_i = {c : ev(B c) in
+    W_(n-i)}, B the Hermite basis of L_(i-1).  Reduction modulo W_(n-i) is
+    linear with kernel W_(n-i), so S_i is the kernel of the field matrix
+    whose column r is ev(B e_r) reduced modulo W_(n-i)."""
     problems = validate_point(p)
     if problems:
         raise ValueError("invalid slice point: " + "; ".join(problems))
     Y = p.Y
-    m, F, N = Y.m, Y.field, Y.N
-    n = len(p.eigenvalues)
-    # powers[r][t] = Y^t e_r, shared by the walks of all n lattices
-    powers = [[[F.one if s == r else F.zero for s in range(N)]] for r in range(m)]
-    # L_1..L_n are the preimages of W_(n-1)..W_1 and W_0 = 0
-    lattices = [
-        Lattice(F, PolyMatrix.from_cols(F, _preimage_basis(Y, W, powers)))
-        for W in [p.flag.subspaces[i - 1] for i in range(n - 1, 0, -1)] + [()]
-    ]
+    m, F = Y.m, Y.field
+    L = standard_lattice(m, F)
+    lattices = []
+    for x, W in zip(p.eigenvalues, p.flag.subspaces[-2::-1] + ((),)):
+        images = [linalg.reduce_mod_subspace(F, W, _evaluate(Y, col)) for col in L.basis.columns()]
+        L = _preimage(L, x, linalg.kernel_basis(F, list(zip(*images))))
+        lattices.append(L)
     types = _jumps_from_dims(p.flag.dims())[::-1]
     return LatticeChain(m, F, p.eigenvalues, types, lattices)
 
 
-def _preimage_basis(Y, W, powers):
-    """The columns of the Hermite basis of the preimage in k[z]^m of the
-    Y-stable subspace W (a reduced echelon basis) under z^t e_r -> Y^t e_r.
-
-    An FGLM walk (Faugere-Gianni-Lazard-Mora, "Efficient computation of
-    zero-dimensional Groebner bases by change of ordering"): the monomials
-    z^t e_r, in position-over-term order (r = 0..m-1, then t = 0, 1, ...),
-    are reduced modulo W and the classes of the standard monomials found so
-    far.  Each vector carries a tag after its N class entries: the
-    coefficients, over the standard monomials and then the monomial being
-    walked, of the polynomial vector whose class it is modulo W.  A
-    monomial whose class is independent becomes standard; the first z^t e_r
-    whose class reduces to zero ends row r, and its tag is column r of the
-    reduced Hermite basis: z^t e_r plus standard monomials of rows <= r,
-    each row s of degree below d_s."""
-    F, m, N = Y.field, Y.m, Y.N
-    p = F.p
-    tail = [F.zero] * (N + 1)
-    # (pivot row, vector); every vector is 1 at its pivot row and zero at
-    # the pivot rows of those before it
-    basis = [(r, list(w) + tail) for r, w in zip(linalg.pivot_rows(F, W), W)]
-    std = []  # (row, degree) of each standard monomial, in walk order
-    cols = []
-    for r in range(m):
-        t = 0
-        while True:
-            if t == len(powers[r]):
-                powers[r].append(Y.times_z(powers[r][-1]))
-            v = list(powers[r][t]) + tail
-            v[N + len(std)] = F.one
-            for pr, b in basis:
-                c = v[pr] if p is None else v[pr] % p
-                if c:
-                    v = [x - c * y if y else x for x, y in zip(v, b)]
-            if p is not None:
-                v = [x % p for x in v]
-            lead = next((i for i in range(N) if v[i]), None)
-            if lead is None:
-                break
-            inv = F.inv(v[lead])
-            if p is None:
-                basis.append((lead, [inv * x if x else x for x in v]))
-            else:
-                basis.append((lead, [inv * x % p for x in v]))
-            std.append((r, t))
-            t += 1
-        rows = [[] for _ in range(m)]
-        for (i, _), c in zip(std + [(r, t)], v[N:]):
-            rows[i].append(c)
-        cols.append([Poly(F, coeffs) for coeffs in rows])
-    return cols
+def _evaluate(Y, vec):
+    """ev(vec) in k^N for a polynomial vector vec = sum_t z^t v_t: the sum
+    of the Y^t v_t, by Horner's rule with Y."""
+    F, top = Y.field, max(len(p.coeffs) for p in vec) - 1
+    w = [p.coeff(top) for p in vec] + [F.zero] * (Y.N - Y.m)
+    for t in range(top - 1, -1, -1):
+        w = Y.times_z(w)
+        for j, p in enumerate(vec):
+            w[j] = F.add(w[j], p.coeff(t))
+    return w

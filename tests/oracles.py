@@ -201,8 +201,9 @@ def brute_stable_flags(Y, points, types):
 # ---------------------------------------------------------------------------
 # Slice point to lattices by polynomial Euclid: L_n is generated by the monic
 # basis z^k e_j - q_j(z), and L_(n-i) by lifts of W_i together with it, each
-# put in Hermite form.  The slice module reads every Hermite basis off Y and
-# W_i by an FGLM walk in k^N instead.
+# put in Hermite form.  The slice module builds each L_i in closed form
+# instead, as the step from L_(i-1) at x_i whose subspace is read off Y and
+# W_(n-i) by one field kernel.
 
 def _monic_basis(Y):
     """The basis columns z^k e_j - q_j(z) of the lattice of a slice matrix,
@@ -569,9 +570,10 @@ def linear_roots_one_at_a_time(p):
 
 # ---------------------------------------------------------------------------
 # A step lattice from all of its generators: the lifts B v of the vectors
-# v in vecs and every column of (z - x) B, for B the basis of L.  The
-# reference for `countlab._preimage`, which passes only the columns of
-# (z - x) B at the rows that are not pivot rows of span(vecs).
+# v in vecs and every column of (z - x) B, for B the basis of L, put in
+# Hermite form by the Euclidean echelon.  The reference for
+# `lattice._preimage`, which builds B E_S in closed form from one basis of
+# span(vecs) and the columns of (z - x) B at the other rows.
 
 def preimage_by_all_generators(L, x, vecs):
     F = L.field

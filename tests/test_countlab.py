@@ -99,10 +99,10 @@ def no_column_echelon():
 
 
 class TestPreimageAgainstAllGenerators:
-    """`_preimage` builds B E_S, B the Hermite basis of L and E_S the Hermite
-    basis of {v : v(x) in S}, and reduces it above its diagonal.  It must
-    give the lattice that the lifts B v (v in vecs) and all m columns of
-    (z - x)B generate, which the oracle Hermite-reduces itself, and reach
+    """`lattice._preimage` builds B E_S, B the Hermite basis of L and E_S the
+    Hermite basis of {v : v(x) in S}, and reduces it above its diagonal.  It
+    must give the lattice that the lifts B v (v in vecs) and all m columns
+    of (z - x)B generate, which the oracle Hermite-reduces itself, and reach
     it with no Euclidean column echelon: the `Lattice` fallback would give
     the right lattice from a wrong construction too."""
 
@@ -129,12 +129,11 @@ class TestPreimageAgainstAllGenerators:
                 # the steps' own points, where B's diagonal has work for the
                 # reduction, and one more point
                 for x in (F.zero, F.one, F.from_int(rng.randint(2, F.p + 1))):
-                    shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
                     for j in range(1, m):
                         for S in linalg.subspaces(F, m, m - j):
                             want = oracles.preimage_by_all_generators(L, x, S)
                             with no_column_echelon():
-                                got = countlab._preimage(L, shifted, S)
+                                got = lattice._preimage(L, x, S)
                             assert got == want, (L, x, S)
 
     @pytest.mark.parametrize("F", [GF(2), GF(3), GF(5), QQ], ids=repr)
@@ -160,18 +159,18 @@ class TestPreimageAgainstAllGenerators:
                     seed = rng.randrange(10**6)
                     vecs = draw(random.Random(seed), m, j)
                     want = oracles.preimage_by_all_generators(L, x, vecs)
-                    shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
                     combo = [F.add(a, F.mul(F.from_int(2), b)) for a, b in zip(vecs[0], vecs[-1])]
                     with no_column_echelon():
                         assert countlab._random_step(random.Random(seed), L, x, j) == want
-                        assert countlab._preimage(L, shifted, vecs + [combo]) == want
+                        assert lattice._preimage(L, x, vecs + [combo]) == want
 
 
 class TestStepsRunNoColumnEchelon:
     """Every step lattice reaches `Lattice` already in Hermite form, so the
-    chain walk never runs the Euclidean column echelon.  A step lattice
-    left unreduced would still count right, through the generic Hermite
-    reduction in `Lattice`; only this guard sees it."""
+    chain walk, `slice_to_chain` and `factorize` never run the Euclidean
+    column echelon.  A lattice left unreduced would still come out right,
+    through the generic Hermite reduction in `Lattice`; only this guard
+    sees it."""
 
     @pytest.mark.parametrize(
         "m,k,types,points,q,end,want",
@@ -184,7 +183,8 @@ class TestStepsRunNoColumnEchelon:
     )
     @pytest.mark.parametrize("witnesses", [False, True])
     def test_count_chain_fiber(self, m, k, types, points, q, end, want, witnesses):
-        query = FiberQuery(m, k, types, points, GF(q), end)
+        F = GF(q)
+        query = FiberQuery(m, k, types, tuple(F.from_int(x) for x in points), F, end)
         with no_column_echelon():
             assert count_chain_fiber(query, witnesses=witnesses).count == want
 
@@ -200,6 +200,36 @@ class TestStepsRunNoColumnEchelon:
                     for x in (F.zero, F.one):
                         for j in range(1, m):
                             assert len(set(step_choices(L, x, j))) == gaussian_binomial(m, j, 3)
+
+    @pytest.mark.parametrize("F", [GF(5), QQ], ids=repr)
+    def test_slice_to_chain(self, F):
+        # seeded trivial chains at seeded points: the roundtrip shapes, and
+        # m=2, k=3 for Hermite diagonals of higher degree
+        rng = random.Random(59)
+        for m, k, types in ((3, 1, (1, 2)), (3, 1, (1, 1, 1)), (2, 2, (1, 1, 1, 1)), (2, 3, (1,) * 6)):
+            chains = []
+            while len(chains) < 4:
+                chain = countlab._random_trivial_chain(rng, m, k, types, F)
+                if chain is not None:
+                    chains.append(chain)
+            for chain in chains:
+                p = countlab.chain_to_slice(chain)
+                with no_column_echelon():
+                    back = countlab.slice_to_chain(p)
+                assert back == chain
+
+    @pytest.mark.parametrize("F", [GF(2), GF(3), GF(5), QQ], ids=repr)
+    def test_factorize(self, F):
+        # lattices supported at 0 and 1, split every way, g = 1 and g = d
+        # included
+        rng = random.Random(61)
+        for m in (2, 3):
+            for L in TestPreimageAgainstAllGenerators.base_lattices(rng, F, m):
+                for S1, S2 in (({0}, {1}), ({1}, {0}), ((), {0, 1}), ({0, 1}, ())):
+                    S1, S2 = ({F.from_int(x) for x in S} for S in (S1, S2))
+                    with no_column_echelon():
+                        L1, L2 = lattice.factorize(L, S1, S2)
+                    assert lattice.intersect(L1, L2) == L
 
 
 class TestChainCount:
@@ -242,7 +272,11 @@ class TestChainCount:
         assert FiberQuery(3, 1, WeightSeq(3, (2,)), (F.zero,), F, "any").types.m == 3
 
     def test_non_field_points_rejected(self):
-        for field, point in ((GF(3), 0.5), (GF(3), True), (GF(3), "1"), (QQ, 0.5), (QQ, False)):
+        # an int outside range(q) is no element of F_q: 3 would pass for a
+        # point distinct from 0, and -1 would be echoed as given
+        for field, point in (
+            (GF(3), 0.5), (GF(3), True), (GF(3), "1"), (GF(3), 3), (GF(3), -1), (QQ, 0.5), (QQ, False),
+        ):
             with pytest.raises(ValueError, match=f"point {point!r} is not an element"):
                 FiberQuery(2, 1, (1, 1), (point, 1), field, "trivial")
         FiberQuery(2, 1, (1, 1), (Fraction(1, 2), 1), QQ, "trivial")

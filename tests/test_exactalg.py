@@ -4,15 +4,17 @@ import contextlib
 import random
 import signal
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latslice.countlab import _random_step
 from latslice.fields import GF, QQ
-from latslice.poly import Poly, linear_roots, poly_gcd
+from latslice.lattice import Lattice, factorize, standard_lattice
+from latslice.poly import Poly, gcd_cofactor, linear_roots, poly_gcd
 from latslice.polymatrix import (
     PolyMatrix,
     _column_echelon,
@@ -94,6 +96,22 @@ class TestPoly:
 
     def test_gcd_of_zeros(self):
         assert poly_gcd(Poly.zero(QQ), Poly.zero(QQ)).is_zero
+        assert gcd_cofactor(Poly.zero(QQ), Poly.zero(QQ))[0].is_zero
+
+    @pytest.mark.parametrize("F", [GF(2), GF(5), QQ], ids=repr)
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_gcd_cofactor(self, F, data):
+        # u divides a and b, and every common divisor of a and b divides
+        # s*a - (s*a - u) = u: so a monic u is their gcd, poly_gcd's too
+        a, b = data.draw(small_polys(F, 5)), data.draw(small_polys(F, 5))
+        u, s = gcd_cofactor(a, b)
+        assert u == poly_gcd(a, b)
+        if u.is_zero:
+            assert a.is_zero and b.is_zero
+            return
+        assert u.lc == F.one and (a % u).is_zero and (b % u).is_zero
+        assert (s * a - u if b.is_zero else (s * a - u) % b).is_zero
 
     def test_eval_and_valuation(self):
         F = GF(3)
@@ -459,40 +477,62 @@ class TestInvariantFactors:
 
 
 def stacked_modulus(M, g):
-    """hermite_basis of [M | g*I]: the reference for hermite_basis(M, g)."""
+    """hermite_basis of [M | g*I], the Euclidean echelon of span(M) +
+    g*k[z]^m: the reference for the factors of `lattice.factorize`."""
     return hermite_basis(M.hstack(PolyMatrix.identity(M.field, M.rows).scale_poly(g)))
 
 
 class TestHermiteModulo:
-    """hermite_basis(M, g) is the Hermite basis of span(M) + g*k[z]^m."""
+    """Each factor of `factorize(L, S1, S2)` is the Hermite basis of
+    span(B) + g*k[z]^m, for B the Hermite basis of L and g the part of
+    d = det B at S_i, built in closed form with no Euclidean echelon."""
+
+    @staticmethod
+    def check(L, S1, S2):
+        """Both factors against `stacked_modulus`; returns the two moduli."""
+        F = L.field
+        d = prod((L.basis.entry(i, i) for i in range(L.m)), start=Poly.one(F))
+        moduli = [
+            Poly.from_roots(F, [x for x in S for _ in range(d.valuation_at(x))]) for S in (S1, S2)
+        ]
+        for g, factor in zip(moduli, factorize(L, S1, S2)):
+            assert factor.basis == stacked_modulus(L.basis, g), (L, g)
+        return moduli
 
     @pytest.mark.parametrize("F", FIELDS, ids=repr)
     def test_named_moduli(self, F):
-        # det M = z^3 - 1, so z is coprime to it in every field
-        M = mat(F, [[(0, 1), (1,)], [(1,), (0, 0, 1)]])
-        d = det(M)
-        assert d == P(F, -1, 0, 0, 1)
-        for g in (P(F, 1), P(F, F.p - 1 if F.p else 2), P(F, 0, 1), d, P(F, 1, -2, 1), d * P(F, 0, 1)):
-            assert hermite_basis(M, g) == stacked_modulus(M, g)
-        assert hermite_basis(M, P(F, 1)) == PolyMatrix.identity(F, 2)
-        assert hermite_basis(M, d) == hermite_basis(M)
+        # z(z - 1)^2 and z^2(z - 1) on the diagonal, entries above it of
+        # degree 2; g = 1, g = d, and the parts z^3 and (z - 1)^3 of d
+        M = mat(F, [[(0, 1, -2, 1), (1, 1, 1)], [(0,), (0, 0, -1, 1)]])
+        L = Lattice(F, M)
+        assert L.basis == M
+        a, b = F.zero, F.one
+        g1, g2 = self.check(L, {a}, {b})
+        assert (g1, g2) == (P(F, 0, 0, 0, 1), P(F, -1, 3, -3, 1))
+        assert self.check(L, set(), {a, b}) == [P(F, 1), det(M)]
+        assert factorize(L, set(), {a, b}) == (standard_lattice(2, F), L)
+        assert self.check(L, {a, b}, set()) == [det(M), P(F, 1)]
 
     @pytest.mark.parametrize("F", FIELDS, ids=repr)
-    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-    @given(data=st.data())
-    def test_matches_stacked_multiples(self, F, data):
-        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
-        M = PolyMatrix.from_cols(F, [[data.draw(small_polys(F, 4)) for _ in range(m)] for _ in range(n)])
-        g = data.draw(small_polys(F, 4).filter(lambda p: not p.is_zero))
-        c = data.draw(elements(F).filter(lambda a: a != F.zero))
-        moduli = [g, Poly.const(F, c)]
-        if m == n and not (d := det(M)).is_zero:
-            coprime = g
-            while (h := poly_gcd(coprime, d)).degree > 0:
-                coprime = coprime // h
-            moduli += [d, coprime, d * g]
-        for g in moduli:
-            assert hermite_basis(M, g) == stacked_modulus(M, g)
+    def test_matches_stacked_multiples(self, F):
+        # lattices 4 to 7 random steps below k[z]^m at three points (two
+        # over F_2), every split of those points, g = 1 and g = d included
+        if F.is_finite:
+            points = sorted({F.from_int(x) for x in (0, 1, 2)})
+        else:
+            points = [F.zero, F.one, Fraction(-1, 2)]
+        rng = random.Random(71)
+        deepest = 0
+        for m in (2, 3, 4):
+            for _ in range(4):
+                L = standard_lattice(m, F)
+                for _ in range(rng.randint(4, 7)):
+                    L = _random_step(rng, L, rng.choice(points), rng.randint(1, m - 1))
+                deepest = max(deepest, *(L.basis.entry(i, i).degree for i in range(m)))
+                for mask in range(2 ** len(points)):
+                    S1 = {x for i, x in enumerate(points) if mask >> i & 1}
+                    self.check(L, S1, set(points) - S1)
+        assert deepest >= 4
 
 
 def full_loop(M):
