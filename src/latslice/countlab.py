@@ -13,6 +13,7 @@ from .fields import GF, QQ
 from .lattice import (
     Lattice,
     LatticeChain,
+    _divide,
     _preimage,
     divisor_of_pair,
     factorize,
@@ -20,7 +21,6 @@ from .lattice import (
     quotient_basis_trivial,
     splitting_type,
     standard_lattice,
-    transition_matrix,
 )
 from .poly import Poly
 from .polymatrix import PolyMatrix
@@ -163,8 +163,13 @@ def _end_test(query):
 
 def _image_at(L, inner, x):
     """The image of the sublattice `inner` in L/(z-x)L, in coordinates of
-    L's basis: the columns of the transition matrix evaluated at z = x."""
-    return [[p.eval(x) for p in col] for col in transition_matrix(L, inner).columns()]
+    L's basis: inner's basis columns divided by L's (`lattice._divide`), the
+    quotients evaluated at z = x.  ValueError if inner is not in L."""
+    rows = L.basis.to_rowlists()
+    quotients = [_divide(rows, v) for v in inner.basis.columns()]
+    if any(not p.is_zero for _, r in quotients for p in r):
+        raise ValueError("the target is not contained in the lattice")
+    return [[p.eval(x) for p in t] for t, _ in quotients]
 
 
 def count_chain_fiber(query, witnesses=False):

@@ -14,7 +14,7 @@ from .poly import Poly, gcd_cofactor, linear_roots
 from .polymatrix import (
     PolyMatrix,
     _column_echelon,
-    _reduce_echelon,
+    _reduce_triangular,
     column_reduce,
     det,
     hermite_basis,
@@ -85,6 +85,7 @@ class Lattice:
         self.field = field
         self.m = basis.rows
         self.basis = hermite_basis(basis)
+        self._hash = None
 
     def __eq__(self, other):
         return (
@@ -94,7 +95,10 @@ class Lattice:
         )
 
     def __hash__(self):
-        return hash((self.field, self.basis))
+        # once per lattice, as the chain walk keys every frontier by lattice
+        if self._hash is None:
+            self._hash = hash(tuple(e.coeffs for e in self.basis.entries))
+        return self._hash
 
     def __repr__(self):
         return f"Lattice(m={self.m}, basis={self.basis!r})"
@@ -128,13 +132,13 @@ def _preimage(L, x, vecs):
     for row, e in zip(rows, ends):
         col = basis[m - 1 - e]  # B s_c, from the 1 of s_c and its entries above
         for t in range(e + 1, m):
-            if row[t]:
-                col = [a + b.scale(row[t]) for a, b in zip(col, basis[m - 1 - t])]
+            if c := row[t]:
+                col = [a if b.is_zero else a + b.scale(c) for a, b in zip(col, basis[m - 1 - t])]
         cols[m - 1 - e] = col
-    shift = Poly(F, (F.neg(x), F.one))
-    cols = [[e * shift for e in basis[r]] if c is None else c for r, c in enumerate(cols)]
-    cols = _reduce_echelon(F, list(range(m)), cols)
-    return Lattice(F, PolyMatrix.from_cols(F, cols))
+    for r, col in enumerate(cols):
+        if col is None:  # (z-x) B e_r, as z B e_r - x B e_r on its nonzero entries
+            cols[r] = [b if b.is_zero else b.shift(1) - b.scale(x) if x else b.shift(1) for b in basis[r]]
+    return Lattice(F, PolyMatrix.from_cols(F, _reduce_triangular(F, cols)))
 
 
 def transition_matrix(outer, inner):
@@ -367,7 +371,7 @@ def factorize(L, S1, S2):
         for r in range(m):
             u, a = gcd_cofactor(cols[r][r], g)
             cols[r] = [e * a for e in cols[r][:r]] + [u] + cols[r][r + 1 :]
-        cols = _reduce_echelon(F, list(range(m)), cols)
+        cols = _reduce_triangular(F, cols)
         factors.append(Lattice(F, PolyMatrix.from_cols(F, cols)))
     return tuple(factors)
 

@@ -2,12 +2,14 @@
 
 Everything is exact.  The determinant uses Bareiss fraction-free elimination
 (all intermediate divisions are exact in k[z]); Smith, Hermite and column
-reduction are Euclidean algorithms; a transform rides along as extra rows.
+reduction are Euclidean algorithms.
 
 The Smith loop pivots in the top-left block of the rows it is given and
 carries any further rows and columns as riders: `smith_normal_form` gives it
 [[M, I], [I, 0]] to read U and V off the borders, `invariant_factors` gives
-it M alone.
+it M alone.  The Hermite form has one reduction, `_reduce_triangular`, of
+square upper-triangular columns and no riders: the pivot columns of the
+column echelon, or a basis that a closed-form `lattice` builder made.
 """
 
 from . import linalg
@@ -284,25 +286,24 @@ def _column_echelon(cols, m):
     return pivots, cols
 
 
-def _reduce_echelon(field, pivots, cols):
-    """Monic pivots and degree-reduced off-pivot entries (canonical form);
-    rows below the pivot rows ride along."""
-    pivot_rows = [i for i in range(len(pivots)) if pivots[i] is not None]
-    for i in pivot_rows:
-        j = pivots[i]
-        c = cols[j][i].lc
-        if c != field.one:
-            inv = field.inv(c)
-            cols[j] = [e.scale(inv) for e in cols[j]]
-    for j in range(len(cols)):
-        for i in sorted(pivot_rows, reverse=True):
-            pj = pivots[i]
-            if pj == j:
-                continue
-            if cols[j][i].degree >= cols[pj][i].degree:
-                q = cols[j][i] // cols[pj][i]
-                for r in range(len(cols[j])):
-                    cols[j][r] = cols[j][r] - q * cols[pj][r]
+def _reduce_triangular(field, cols):
+    """The Hermite form of square upper-triangular columns with nonzero
+    diagonal, in place: column j is scaled to a monic diagonal entry, then
+    its entries above the diagonal are reduced by their rows' diagonals,
+    bottom up.  Reducing row i subtracts a multiple of column i, which is
+    nonzero only in rows <= i, not reduced yet; its zeros are skipped, so no
+    entry below a diagonal is touched."""
+    for j, c in enumerate(cols):
+        if (lc := c[j].lc) != field.one:
+            inv = field.inv(lc)
+            c[: j + 1] = [e.scale(inv) for e in c[: j + 1]]
+        for i in range(j - 1, -1, -1):
+            piv = cols[i]
+            if c[i].degree >= piv[i].degree:
+                q = c[i] // piv[i]
+                for r, e in enumerate(piv):
+                    if not e.is_zero:
+                        c[r] = c[r] - q * e
     return cols
 
 
@@ -337,8 +338,7 @@ def hermite_basis(M):
     pivots, cols = _column_echelon(M.columns(), M.rows)
     if any(p is None for p in pivots):
         raise ValueError("generators do not span a rank-m module")
-    cols = _reduce_echelon(F, pivots, cols)
-    ordered = [cols[pivots[i]] for i in range(M.rows)]
+    ordered = _reduce_triangular(F, [cols[j] for j in pivots])
     return PolyMatrix.from_cols(F, ordered)
 
 

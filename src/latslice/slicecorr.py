@@ -234,9 +234,12 @@ def chain_to_slice(chain):
     q = slice_column(chain.end, k)  # validation makes the colength N
     if q is None:
         raise ValueError("monomial classes are not a basis of the quotient")
-    # L_(n-1), ..., L_1 have colength > 0, so their maps have rows
+    # L_(n-1), ..., L_1 have colength > 0, so their maps have rows.  With the
+    # columns reversed, each kernel vector leads with its free column's 1, 0
+    # in the others: read back reversed, the basis is the one `Flag` keeps
     subspaces = [
-        linalg.kernel_basis(F, _monomial_images(L, k - 1)) for L in reversed(chain.lattices[:-1])
+        [v[::-1] for v in linalg.kernel_basis(F, [r[::-1] for r in _monomial_images(L, k - 1)])][::-1]
+        for L in reversed(chain.lattices[:-1])
     ]
     subspaces.append([[F.one if r == c else F.zero for r in range(N)] for c in range(N)])
     return SlicePoint(SliceMatrix(m, k, F, q), Flag(F, N, subspaces), chain.points)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from latslice.fields import GF, QQ
-from latslice.lattice import Lattice, contains, standard_lattice
+from latslice.lattice import Lattice, contains, standard_lattice, transition_matrix
 from latslice.poly import Poly
 from latslice.polymatrix import PolyMatrix
 from latslice import countlab, lattice, polymatrix
@@ -82,6 +82,33 @@ class TestStepChoices:
                     got = step_choices(L, x, j, image)
                     assert len(set(got)) == len(got)
                     assert set(got) == want, (L, x, j)
+
+
+class TestImageAt:
+    def test_transition_columns_at_the_point(self):
+        # seeded L >= T = z^k k[z]^m, over F_3 and Q: the image is the
+        # transition matrix from L to T evaluated at z = x
+        rng = random.Random(73)
+        for F in (GF(3), QQ):
+            for m, k in ((2, 2), (3, 1), (2, 3)):
+                T = _zk_lattice(m, k, F)
+                for _ in range(4):
+                    extra = [
+                        [Poly(F, [F.from_int(rng.randint(-2, 2)) for _ in range(k)]) for _ in range(m)]
+                        for _ in range(rng.randint(1, m))
+                    ]
+                    L = Lattice(F, PolyMatrix.from_cols(F, T.basis.columns() + extra))
+                    for x in (F.zero, F.one, F.from_int(2)):
+                        want = [[p.eval(x) for p in col] for col in transition_matrix(L, T).columns()]
+                        assert countlab._image_at(L, T, x) == want
+
+    def test_target_outside_the_lattice(self):
+        for F in (GF(3), QQ):
+            std = standard_lattice(2, F)
+            step = countlab._preimage(std, F.zero, [[F.one, F.zero]])
+            for L, target in ((step, std), (_zk_lattice(2, 2, F), _zk_lattice(2, 1, F))):
+                with pytest.raises(ValueError, match="not contained"):
+                    countlab._image_at(L, target, F.zero)
 
 
 @contextlib.contextmanager

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from latslice.countlab import _random_step
 from latslice.fields import GF, QQ
-from latslice.lattice import Lattice, factorize, standard_lattice
+from latslice.lattice import Lattice, _divide, factorize, standard_lattice
 from latslice.poly import Poly, gcd_cofactor, linear_roots, poly_gcd
 from latslice.polymatrix import (
     PolyMatrix,
     _column_echelon,
+    _reduce_triangular,
     column_reduce,
     det,
     hermite_basis,
@@ -432,6 +433,70 @@ class TestHermite:
                 if j is not None:
                     assert not H.entry(i, j).is_zero
                     assert all(H.entry(r, j).is_zero for r in range(i + 1, m))
+
+
+class Untouchable(Poly):
+    """A zero entry below the diagonal that fails on any arithmetic: the
+    triangular reduction must never touch one."""
+
+    def refuse(self, *args):
+        raise AssertionError("an entry below the diagonal was touched")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = refuse
+    __divmod__ = __floordiv__ = __mod__ = scale = shift = refuse
+
+
+class TestReduceTriangular:
+    """`_reduce_triangular` is the one Hermite reduction: of the pivot
+    columns of the column echelon in `hermite_basis`, and of the closed-form
+    bases of `lattice._preimage` and `factorize`.  On square upper-triangular
+    columns with non-monic diagonals it must give the Hermite basis that
+    `hermite_basis` gives the same columns plus one redundant generator (the
+    column-echelon path), and that basis must be in Hermite form and span
+    the same module by checks that run no reduction: both sides share the
+    reduction, so agreement alone would not see a wrong one."""
+
+    @staticmethod
+    def triangular(rng, F, m):
+        """Columns of an upper-triangular matrix: diagonal degrees 0..3 with
+        leading coefficients other than 1 where the field has them, and
+        entries above the diagonal up to two degrees above their row's."""
+
+        def poly(degree, lead=None):
+            coeffs = [F.from_int(rng.randint(-4, 4)) for _ in range(degree)]
+            return Poly(F, coeffs + [lead if lead is not None else F.from_int(rng.randint(-4, 4))])
+
+        leads = [F.from_int(c) for c in (2, 3, -1, 1)] if F.p != 2 else [F.one]
+        diag = [poly(rng.choice((0, 1, 1, 2, 3)), rng.choice(leads)) for _ in range(m)]
+        cols = []
+        for j in range(m):
+            above = [poly(rng.randint(0, diag[i].degree + 2)) for i in range(j)]
+            cols.append(above + [diag[j]] + [Poly.zero(F)] * (m - 1 - j))
+        return cols
+
+    @pytest.mark.parametrize("F", [GF(2), GF(5), QQ], ids=repr)
+    def test_against_column_echelon(self, F):
+        rng = random.Random(71)
+        for _ in range(40):
+            m = rng.randint(1, 4)
+            cols = self.triangular(rng, F, m)
+            factor = Poly(F, [F.from_int(rng.randint(-2, 2)) for _ in range(2)])
+            extra = [a * factor + b for a, b in zip(cols[0], cols[-1])]
+            want = hermite_basis(PolyMatrix.from_cols(F, cols + [extra]))
+            guarded = [c[: j + 1] + [Untouchable(F)] * (m - 1 - j) for j, c in enumerate(cols)]
+            H = PolyMatrix.from_cols(F, _reduce_triangular(F, guarded))
+            assert H == want
+            rows = H.to_rowlists()
+            for i in range(m):
+                assert H.entry(i, i).lc == F.one
+                assert all(H.entry(i, j).degree < H.entry(i, i).degree for j in range(i + 1, m))
+                assert all(isinstance(H.entry(r, i), Untouchable) for r in range(i + 1, m))
+            # H is triangular with monic diagonal of the input's degrees, so
+            # it spans the input's module when every input column divides
+            # by it with no remainder
+            assert [H.entry(i, i).degree for i in range(m)] == [c[j].degree for j, c in enumerate(cols)]
+            for c in cols:
+                assert all(r.is_zero for r in _divide(rows, c)[1])
 
 
 def small_polys(F, max_size=3):

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latslice import linalg
 from latslice.countlab import _random_step
 from latslice.fields import GF, QQ
 from latslice.lattice import (
     ColouredDivisor,
     _divide,
     _monomial_images,
+    _preimage,
     HeckeType,
     Lattice,
     LatticeChain,
@@ -33,6 +35,7 @@ from latslice.lattice import (
 )
 from latslice.poly import Poly
 from latslice.polymatrix import PolyMatrix, det
+from latslice.serialize import lattice_to_json, parse_lattice
 from latslice.slicecorr import SliceMatrix
 
 import oracles
@@ -87,6 +90,52 @@ class TestBasics:
         assert colength(std, std) == 0
         assert colength(std, scale(std, P(F, 0, 1))) == 2
         assert colength(std, lat(F, [[(0, 1), (0,)], [(1,), (0, 1)]])) == 2
+
+
+class TestLatticeAsKey:
+    """The chain walk keys its frontiers by lattice, and a lattice hashes
+    once.  The one lattice built five ways (a redundant generator set, the
+    closed-form step builder, a factor, an intersection and a parsed
+    payload of a basis that is not in Hermite form) must be equal, hash
+    equal and merge into one key; its parent step is another key."""
+
+    @pytest.mark.parametrize("F", [GF(3), QQ], ids=repr)
+    def test_one_key(self, F):
+        rng = random.Random(67)
+        zero, one, z = F.zero, F.one, Poly.x(F)
+        for m in (2, 3):
+            # a unimodular change of basis that takes a Hermite basis off
+            # Hermite form: column c > 0 gains z times column 0
+            T = PolyMatrix.from_rows(
+                F,
+                [[Poly.one(F)] + [z] * (m - 1)]
+                + [[Poly.one(F) if r == c else Poly.zero(F) for c in range(m)] for r in range(1, m)],
+            )
+            for _ in range(4):
+                j = rng.randint(1, m - 1)
+                vecs = [[F.from_int(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m - j)]
+                if linalg.rank(F, vecs) < m - j:
+                    continue
+                outer = _random_step(rng, standard_lattice(m, F), zero, rng.randint(1, m - 1))
+                L = _preimage(outer, one, vecs)
+                gens = oracles.preimage_by_all_generators(outer, one, vecs).basis.columns()
+                gens.append([a + b.shift(1) for a, b in zip(gens[0], gens[-1])])
+                payload = lattice_to_json(L)
+                payload["basis"] = [[p.to_list() for p in col] for col in (L.basis * T).columns()]
+                variants = [
+                    L,
+                    Lattice(F, PolyMatrix.from_cols(F, gens)),
+                    factorize(L, {zero, one}, ())[0],
+                    intersect(*factorize(L, {zero}, {one})),
+                    parse_lattice(payload),
+                ]
+                assert len({id(V) for V in variants}) == len(variants)
+                counts = {}
+                for V in variants:
+                    assert V == L and hash(V) == hash(L)
+                    counts[V] = counts.get(V, 0) + 1
+                assert list(counts.values()) == [len(variants)]
+                assert outer != L and outer not in counts
 
 
 class TestHeckeType:

@@ -233,6 +233,32 @@ class TestRoundtrip:
                     assert chain_to_slice(slice_to_chain(p)) == p
 
 
+class TestFlagInputsReduced:
+    def test_kernels_arrive_in_reduced_column_echelon_form(self):
+        # chain_to_slice hands Flag each W_i as the reduced column echelon
+        # basis that Flag keeps, so its canonicalising rref has nothing to do
+        rng = random.Random(79)
+        seen = []
+        canonical_subspace = linalg.canonical_subspace
+
+        def canonical(field, columns):
+            out = canonical_subspace(field, columns)
+            seen.append([list(c) for c in columns] == out)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "canonical_subspace", canonical)
+            for F in (GF(3), GF(5), QQ):
+                for m, k, types in ((3, 1, (1, 2)), (3, 1, (1, 1, 1)), (2, 2, (1, 1, 1, 1)), (2, 3, (1,) * 6)):
+                    chains = 0
+                    while chains < 3:
+                        chain = _random_trivial_chain(rng, m, k, types, F)
+                        if chain is not None:
+                            chains += 1
+                            assert slice_to_chain(chain_to_slice(chain)) == chain
+        assert len(seen) > 100 and all(seen)
+
+
 def chain_at(rng, F, m, k, types, points):
     """A seeded chain at the given points ending at a trivial lattice, or
     None when the draw is not trivial."""
