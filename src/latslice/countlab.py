@@ -29,7 +29,7 @@ from .slicecorr import (
     Flag,
     SliceMatrix,
     SlicePoint,
-    base_point,
+    _pattern,
     chain_to_slice,
     slice_to_chain,
     target_poly,
@@ -311,7 +311,7 @@ def count_slice_fiber(query, witnesses=False):
     F, m, k = query.field, query.m, query.k
     target = target_poly(F, query.points, query.types.entries)
     trace = F.neg(target.coeff(target.degree - 1))  # sum pi_i x_i
-    pattern = [row[: m * k - m] for row in base_point(m, k, F).entries]
+    pattern = _pattern(m, k, F.p)
     matrices = (
         SliceMatrix(m, k, F, zip(*rows))
         for rows in _block_rows(m, k, F, trace)
@@ -681,6 +681,8 @@ def verify_suite(name, **budget):
     if name == "all":
         # suites have distinct budget signatures; 'all' runs each with its
         # documented defaults
+        if budget:
+            raise ValueError(f"the 'all' suite takes no budget: {', '.join(sorted(budget))}")
         reports = [suite() for suite in SUITES.values()]
         return {
             "suite": "all",

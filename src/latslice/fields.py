@@ -7,6 +7,10 @@ polynomial and matrix code is field-agnostic.
 
 from fractions import Fraction
 
+# Primality is tested by trial division up to sqrt(p): 10^6 divisions at
+# the bound, under a second.  A larger characteristic is refused first.
+MAX_CHARACTERISTIC = 10**12
+
 
 def is_prime(n):
     if n < 2:
@@ -27,6 +31,8 @@ class Field:
     """The rationals (p is None) or the prime field F_p."""
 
     def __init__(self, p=None):
+        if p is not None and p > MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {p} exceeds the bound 10^12")
         if p is not None and not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
@@ -122,9 +128,10 @@ class Field:
                 p = int(code[3:], 10)
             except ValueError:
                 raise ValueError(f"bad field code {code!r}") from None
-            if not is_prime(p):
-                raise ValueError(f"field code {code!r}: {p} is not prime")
-            return Field(p)
+            try:
+                return Field(p)
+            except ValueError as e:
+                raise ValueError(f"field code {code!r}: {e}") from None
         raise ValueError(f"bad field code {code!r}")
 
     def __eq__(self, other):

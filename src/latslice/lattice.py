@@ -14,7 +14,6 @@ from .poly import Poly, gcd_cofactor, linear_roots
 from .polymatrix import (
     PolyMatrix,
     _column_echelon,
-    _reduce_triangular,
     column_reduce,
     det,
     hermite_basis,
@@ -123,8 +122,8 @@ def _preimage(L, x, vecs):
     of a 1 only zeros, right of a z-x only constants.  It generates
     {v : v(x) in S}: its columns lie there, and both have colength
     dim k^m/S = deg det E_S in k[z]^m.  So B E_S is a basis of the lattice,
-    upper triangular with monic diagonal b_rr e_rr, and reducing its entries
-    above the diagonal gives the Hermite basis, which `Lattice` keeps."""
+    upper triangular with monic diagonal b_rr e_rr, which `Lattice` takes to
+    its Hermite basis by reducing the entries above the diagonal alone."""
     F, m = L.field, L.m
     rows, ends = linalg.rref(F, [v[::-1] for v in vecs])
     basis = L.basis.columns()
@@ -138,7 +137,7 @@ def _preimage(L, x, vecs):
     for r, col in enumerate(cols):
         if col is None:  # (z-x) B e_r, as z B e_r - x B e_r on its nonzero entries
             cols[r] = [b if b.is_zero else b.shift(1) - b.scale(x) if x else b.shift(1) for b in basis[r]]
-    return Lattice(F, PolyMatrix.from_cols(F, _reduce_triangular(F, cols)))
+    return Lattice(F, PolyMatrix.from_cols(F, cols))
 
 
 def transition_matrix(outer, inner):
@@ -352,8 +351,9 @@ def factorize(L, S1, S2):
     colength of L + g * standard too: k[z]^m / L splits into its parts at
     the roots of g and elsewhere, g kills the first and is invertible on
     the second, so dividing by g leaves the first, of dimension deg g.  So
-    the columns span the factor, and reducing their entries above the
-    diagonal gives its Hermite basis with no Euclidean echelon.
+    the columns span the factor, and `Lattice` takes them to its Hermite
+    basis by reducing their entries above the diagonal, with no Euclidean
+    echelon.
     """
     S1, S2 = set(S1), set(S2)
     if S1 & S2:
@@ -371,7 +371,6 @@ def factorize(L, S1, S2):
         for r in range(m):
             u, a = gcd_cofactor(cols[r][r], g)
             cols[r] = [e * a for e in cols[r][:r]] + [u] + cols[r][r + 1 :]
-        cols = _reduce_triangular(F, cols)
         factors.append(Lattice(F, PolyMatrix.from_cols(F, cols)))
     return tuple(factors)
 

@@ -286,7 +286,8 @@ def poly_gcd(a, b):
 # Over Q a divisor search is refused when the constant or leading numerator
 # exceeds MAX_ROOT_SEARCH (listing the divisors of n takes sqrt(n) = 10^6
 # trial divisions), or when the pairs (c, d) of their divisors exceed
-# MAX_ROOT_CANDIDATES (each pair costs two evaluations of p).
+# MAX_ROOT_CANDIDATES (each pair costs two evaluations of p).  Over F_p the
+# search is refused once MAX_ROOT_CANDIDATES elements are tried.
 MAX_ROOT_SEARCH = 10**12
 MAX_ROOT_CANDIDATES = 10**5
 
@@ -295,12 +296,15 @@ def linear_roots(p):
     """All roots of the linear factors of p, returned as {root: multiplicity},
     plus the residual factor with no roots in the field.
 
-    Finite fields: exhaustive search, so the residual has no root at all.
-    Rationals: rational-root extraction (no field extensions).  A residual
-    of degree 1 gives its root directly; otherwise the candidates c/d are
-    searched by trial division, and a ValueError refuses the search when
-    |c| or |d| would range over the divisors of a numerator above
-    MAX_ROOT_SEARCH, or over more than MAX_ROOT_CANDIDATES pairs.
+    A residual of degree 1 gives its root directly; one of higher degree is
+    searched.  Finite fields: the elements in turn, until the residual is
+    linear or constant, so a residual of degree >= 2 left at the end has no
+    root at all; a ValueError refuses the search when one is left after
+    MAX_ROOT_CANDIDATES elements.  Rationals: rational-root extraction (no
+    field extensions); the candidates c/d are searched by trial division,
+    and a ValueError refuses the search when |c| or |d| would range over the
+    divisors of a numerator above MAX_ROOT_SEARCH, or over more than
+    MAX_ROOT_CANDIDATES pairs.
     """
     if p.is_zero:
         raise ValueError("root extraction from the zero polynomial")
@@ -308,57 +312,63 @@ def linear_roots(p):
     roots = {}
     if F.is_finite:
         for x in F.elements():
-            while p.degree >= 1 and p.eval(x) == F.zero:
+            if p.degree <= 1:
+                break
+            if x == MAX_ROOT_CANDIDATES:
+                raise ValueError(
+                    f"root search over F_{F.p} refused: a factor of degree {p.degree} "
+                    "is left after 10^5 elements"
+                )
+            while p.degree >= 2 and p.eval(x) == F.zero:
                 roots[x] = roots.get(x, 0) + 1
                 p = p.exact_div(Poly(F, (F.neg(x), F.one)))
-        return roots, p
-    # rational roots r = c/d with c | constant term, d | leading coefficient,
-    # after clearing denominators to an integer polynomial
-    while p.degree >= 1:
-        if p.degree == 1:
-            found = F.div(F.neg(p.coeffs[0]), p.coeffs[1])
-            roots[found] = roots.get(found, 0) + 1
-            p = Poly.const(F, p.coeffs[1])
-            break
-        den = lcm(*(c.denominator for c in p.coeffs))
-        ints = [int(c * den) for c in p.coeffs]
-        lead = ints[-1]
-        k = 0
-        while ints[k] == 0:
-            k += 1
-        if k:
-            roots[F.zero] = roots.get(F.zero, 0) + k
-            p = p.exact_div(Poly.monomial(F, F.one, k))
-            continue
-        const = ints[0]
-        if max(abs(const), abs(lead)) > MAX_ROOT_SEARCH:
-            raise ValueError(
-                "rational root search refused: the constant or leading numerator "
-                "exceeds the bound 10^12 (over 10^6 trial divisions)"
-            )
-        cs, ds = _divisors(abs(const)), _divisors(abs(lead))
-        if len(cs) * len(ds) > MAX_ROOT_CANDIDATES:
-            raise ValueError(
-                f"rational root search refused: {len(cs) * len(ds)} candidate "
-                "roots exceed the bound 10^5"
-            )
-        found = None
-        for c in cs:
-            for d in ds:
-                for r in (F.parse(f"{c}/{d}"), F.parse(f"-{c}/{d}")):
-                    if p.eval(r) == F.zero:
-                        found = r
+    else:
+        # rational roots r = c/d with c | constant term, d | leading
+        # coefficient, after clearing denominators to an integer polynomial
+        while p.degree >= 2:
+            den = lcm(*(c.denominator for c in p.coeffs))
+            ints = [int(c * den) for c in p.coeffs]
+            lead = ints[-1]
+            k = 0
+            while ints[k] == 0:
+                k += 1
+            if k:
+                roots[F.zero] = roots.get(F.zero, 0) + k
+                p = p.exact_div(Poly.monomial(F, F.one, k))
+                continue
+            const = ints[0]
+            if max(abs(const), abs(lead)) > MAX_ROOT_SEARCH:
+                raise ValueError(
+                    "rational root search refused: the constant or leading numerator "
+                    "exceeds the bound 10^12 (over 10^6 trial divisions)"
+                )
+            cs, ds = _divisors(abs(const)), _divisors(abs(lead))
+            if len(cs) * len(ds) > MAX_ROOT_CANDIDATES:
+                raise ValueError(
+                    f"rational root search refused: {len(cs) * len(ds)} candidate "
+                    "roots exceed the bound 10^5"
+                )
+            found = None
+            for c in cs:
+                for d in ds:
+                    for r in (F.parse(f"{c}/{d}"), F.parse(f"-{c}/{d}")):
+                        if p.eval(r) == F.zero:
+                            found = r
+                            break
+                    if found is not None:
                         break
                 if found is not None:
                     break
-            if found is not None:
+            if found is None:
                 break
-        if found is None:
-            break
-        # every copy at once: a later search would find this root first again
-        e = p.valuation_at(found)
-        roots[found] = e
-        p = p.exact_div(Poly.from_roots(F, [found] * e))
+            # every copy at once: a later search would find this root first again
+            e = p.valuation_at(found)
+            roots[found] = e
+            p = p.exact_div(Poly.from_roots(F, [found] * e))
+    if p.degree == 1:
+        root = F.div(F.neg(p.coeffs[0]), p.coeffs[1])
+        roots[root] = roots.get(root, 0) + 1
+        p = Poly.const(F, p.coeffs[1])
     return roots, p
 
 

@@ -7,9 +7,11 @@ reduction are Euclidean algorithms.
 The Smith loop pivots in the top-left block of the rows it is given and
 carries any further rows and columns as riders: `smith_normal_form` gives it
 [[M, I], [I, 0]] to read U and V off the borders, `invariant_factors` gives
-it M alone.  The Hermite form has one reduction, `_reduce_triangular`, of
-square upper-triangular columns and no riders: the pivot columns of the
-column echelon, or a basis that a closed-form `lattice` builder made.
+it M alone.  The Hermite form is `hermite_basis` alone, with one reduction,
+`_reduce_triangular`, of a square upper-triangular matrix and no riders:
+of the input itself when it is triangular, as the closed-form `lattice`
+builders hand it over, and of the pivot columns of its column echelon
+otherwise.
 """
 
 from . import linalg
@@ -286,42 +288,28 @@ def _column_echelon(cols, m):
     return pivots, cols
 
 
-def _reduce_triangular(field, cols):
-    """The Hermite form of square upper-triangular columns with nonzero
-    diagonal, in place: column j is scaled to a monic diagonal entry, then
-    its entries above the diagonal are reduced by their rows' diagonals,
-    bottom up.  Reducing row i subtracts a multiple of column i, which is
-    nonzero only in rows <= i, not reduced yet; its zeros are skipped, so no
-    entry below a diagonal is touched."""
-    for j, c in enumerate(cols):
-        if (lc := c[j].lc) != field.one:
+def _reduce_triangular(field, E, m):
+    """Bring the flat row-major entries E of an m x m upper-triangular
+    matrix with nonzero diagonal to Hermite form, in place, and return
+    whether any entry changed.  Column j is scaled to a monic diagonal
+    entry, then its entries above the diagonal are reduced by their rows'
+    diagonals, bottom up.  Reducing row i subtracts a multiple of column i,
+    whose rows <= i are not reduced yet; no entry below a diagonal is read."""
+    changed = False
+    for j in range(m):
+        if (lc := E[j * m + j].lc) != field.one:
             inv = field.inv(lc)
-            c[: j + 1] = [e.scale(inv) for e in c[: j + 1]]
+            for r in range(j + 1):
+                E[r * m + j] = E[r * m + j].scale(inv)
+            changed = True
         for i in range(j - 1, -1, -1):
-            piv = cols[i]
-            if c[i].degree >= piv[i].degree:
-                q = c[i] // piv[i]
-                for r, e in enumerate(piv):
-                    if not e.is_zero:
-                        c[r] = c[r] - q * e
-    return cols
-
-
-def _is_hermite(M):
-    """Is M square and in Hermite form: zero below the diagonal, monic
-    nonzero diagonal, each entry right of the diagonal of lower degree than
-    its row's pivot?  Length comparisons only; the below-diagonal zeros go
-    first, where a set of generators fails at once."""
-    m, E = M.rows, M.entries
-    if M.cols != m or any(E[i * m + j].coeffs for i in range(1, m) for j in range(i)):
-        return False
-    for i in range(m):
-        d = E[i * m + i].coeffs
-        if not d or d[-1] != M.field.one:
-            return False
-        if any(len(e.coeffs) >= len(d) for e in E[i * m + i + 1 : (i + 1) * m]):
-            return False
-    return True
+            if E[i * m + j].degree >= E[i * m + i].degree:
+                q = E[i * m + j] // E[i * m + i]
+                for r in range(i + 1):
+                    if not (e := E[r * m + i]).is_zero:
+                        E[r * m + j] = E[r * m + j] - q * e
+                changed = True
+    return changed
 
 
 def hermite_basis(M):
@@ -329,17 +317,25 @@ def hermite_basis(M):
 
     Output is upper triangular with monic diagonal pivots and off-pivot
     entries of smaller degree than their row pivot; equal modules give equal
-    matrices, so an M of that shape is its own Hermite basis and is returned
-    as it is.  Raises ValueError on rank-deficient input.
+    matrices.  A square M that is zero below a nonzero diagonal, as every
+    closed-form `lattice` builder hands over, is reduced as it stands, and
+    is returned itself when nothing changed; any other M is first brought
+    to a column echelon.  Raises ValueError on rank-deficient input.
     """
-    if _is_hermite(M):
-        return M
-    F = M.field
-    pivots, cols = _column_echelon(M.columns(), M.rows)
+    F, m, E = M.field, M.rows, M.entries
+    if (
+        M.cols == m
+        and all(E[i * m + i].coeffs for i in range(m))
+        and not any(E[i * m + j].coeffs for i in range(1, m) for j in range(i))
+    ):
+        E = list(E)
+        return PolyMatrix(F, m, m, E) if _reduce_triangular(F, E, m) else M
+    pivots, cols = _column_echelon(M.columns(), m)
     if any(p is None for p in pivots):
         raise ValueError("generators do not span a rank-m module")
-    ordered = _reduce_triangular(F, [cols[j] for j in pivots])
-    return PolyMatrix.from_cols(F, ordered)
+    E = [cols[j][i] for i in range(m) for j in pivots]
+    _reduce_triangular(F, E, m)
+    return PolyMatrix(F, m, m, E)
 
 
 def column_reduce(M):

@@ -149,6 +149,38 @@ class TestLattice:
             assert cli.main(["lattice", "divisor", payload]) == 1
         assert bound in capsys.readouterr().err
 
+    def test_divisor_over_a_large_prime_field(self, capsys):
+        # det (z^2 + 3z + 5)(z + 7): the quadratic is left after 10^5
+        # elements of F_(10^9 + 7) are tried
+        F = "Fp:1000000007"
+        payload = json.dumps({"m": 2, "field": F, "basis": [[[5, 3, 1], [0]], [[2], [7, 1]]]})
+        with time_limit(10):
+            assert cli.main(["lattice", "divisor", payload]) == 1
+        assert "a factor of degree 3 is left after 10^5 elements" in capsys.readouterr().err
+        # det z^2 (z - 1): linear once the root 0 is divided out
+        payload = json.dumps({"m": 2, "field": F, "basis": [[[0, 0, 1], [0]], [[5], [-1, 1]]]})
+        with time_limit(10):
+            assert cli.main(["lattice", "divisor", payload]) == 0
+        assert json.loads(capsys.readouterr().out)["divisor"] == [
+            {"point": 0, "type": [2, 0]},
+            {"point": 1, "type": [1, 0]},
+        ]
+
+    @pytest.mark.parametrize("p", [10**18 + 3, 10**39 + 3], ids=["19-digit", "40-digit"])
+    def test_large_characteristic_refused(self, p, capsys):
+        # refused before a primality test by trial division up to sqrt(p)
+        payload = json.dumps({"m": 1, "field": f"Fp:{p}", "basis": [[[0, 1]]]})
+        count = ["count", "chain-fiber", "--m", "2", "--k", "1", "--weights", "1,1",
+                 "--points", "0,1", "--end", "trivial"]
+        for argv, code in (
+            (["lattice", "trivial", payload, "--k", "1"], 2),
+            ([*count, "--field", f"Fp:{p}"], 1),
+            (["verify", "roundtrip", "--qs", str(p)], 1),
+        ):
+            with time_limit(10):
+                assert cli.main(argv) == code, argv
+            assert f"characteristic {p} exceeds the bound 10^12" in capsys.readouterr().err
+
 
 @st.composite
 def lattice_payloads(draw):

@@ -127,11 +127,12 @@ def no_column_echelon():
 
 class TestPreimageAgainstAllGenerators:
     """`lattice._preimage` builds B E_S, B the Hermite basis of L and E_S the
-    Hermite basis of {v : v(x) in S}, and reduces it above its diagonal.  It
-    must give the lattice that the lifts B v (v in vecs) and all m columns
-    of (z - x)B generate, which the oracle Hermite-reduces itself, and reach
-    it with no Euclidean column echelon: the `Lattice` fallback would give
-    the right lattice from a wrong construction too."""
+    Hermite basis of {v : v(x) in S}, which `Lattice` reduces above its
+    diagonal.  It must give the lattice that the lifts B v (v in vecs) and
+    all m columns of (z - x)B generate, which the oracle Hermite-reduces
+    itself, and reach it with no Euclidean column echelon: the echelon path
+    of `hermite_basis` would give the right lattice from a wrong
+    construction too."""
 
     @staticmethod
     def base_lattices(rng, F, m):
@@ -193,11 +194,11 @@ class TestPreimageAgainstAllGenerators:
 
 
 class TestStepsRunNoColumnEchelon:
-    """Every step lattice reaches `Lattice` already in Hermite form, so the
-    chain walk, `slice_to_chain` and `factorize` never run the Euclidean
-    column echelon.  A lattice left unreduced would still come out right,
-    through the generic Hermite reduction in `Lattice`; only this guard
-    sees it."""
+    """Every step lattice reaches `Lattice` square and upper triangular, so
+    `hermite_basis` only reduces it above its diagonal and the chain walk,
+    `slice_to_chain` and `factorize` never run the Euclidean column echelon.
+    A basis left off that shape would still come out right, through the
+    echelon path of `hermite_basis`; only this guard sees it."""
 
     @pytest.mark.parametrize(
         "m,k,types,points,q,end,want",
@@ -657,3 +658,11 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             verify_suite("no-such-suite")
+
+    def test_all_takes_no_budget(self, monkeypatch):
+        def no_suite(**budget):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(countlab, "SUITES", dict.fromkeys(countlab.SUITES, no_suite))
+        with pytest.raises(ValueError, match="takes no budget: qs, randoms"):
+            verify_suite("all", randoms=1, qs=(2,))

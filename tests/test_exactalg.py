@@ -11,6 +11,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latslice import polymatrix
 from latslice.countlab import _random_step
 from latslice.fields import GF, QQ
 from latslice.lattice import Lattice, _divide, factorize, standard_lattice
@@ -52,6 +53,15 @@ class TestFields:
             GF(6)
         with pytest.raises(ValueError):
             GF(1)
+
+    def test_large_characteristic(self):
+        # trial division up to sqrt(p) answers below the bound; above it the
+        # characteristic is refused before any division
+        with time_limit(10):
+            assert GF(999999999989).p == 999999999989
+            for p in (10**12 + 39, 10**18 + 3, 10**39 + 3):
+                with pytest.raises(ValueError, match="exceeds the bound 10\\^12"):
+                    GF(p)
 
     def test_codes_roundtrip(self):
         from latslice.fields import Field
@@ -447,14 +457,17 @@ class Untouchable(Poly):
 
 
 class TestReduceTriangular:
-    """`_reduce_triangular` is the one Hermite reduction: of the pivot
-    columns of the column echelon in `hermite_basis`, and of the closed-form
-    bases of `lattice._preimage` and `factorize`.  On square upper-triangular
-    columns with non-monic diagonals it must give the Hermite basis that
-    `hermite_basis` gives the same columns plus one redundant generator (the
-    column-echelon path), and that basis must be in Hermite form and span
-    the same module by checks that run no reduction: both sides share the
-    reduction, so agreement alone would not see a wrong one."""
+    """`_reduce_triangular` is the one Hermite reduction, which
+    `hermite_basis` runs on the pivot columns of its column echelon, or on
+    its input alone when that is square and triangular, as the closed-form
+    bases of `lattice._preimage` and `factorize` are.  On the flat entries
+    of an upper-triangular matrix with non-monic diagonal it must give the
+    Hermite basis that `hermite_basis` gives the same columns plus one
+    redundant generator (the column-echelon path), and so must
+    `hermite_basis` of the triangular matrix itself with no column echelon;
+    that basis must be in Hermite form and span the same module by checks
+    that run no reduction: all share the reduction, so agreement alone would
+    not see a wrong one."""
 
     @staticmethod
     def triangular(rng, F, m):
@@ -475,7 +488,7 @@ class TestReduceTriangular:
         return cols
 
     @pytest.mark.parametrize("F", [GF(2), GF(5), QQ], ids=repr)
-    def test_against_column_echelon(self, F):
+    def test_against_column_echelon(self, F, monkeypatch):
         rng = random.Random(71)
         for _ in range(40):
             m = rng.randint(1, 4)
@@ -483,9 +496,14 @@ class TestReduceTriangular:
             factor = Poly(F, [F.from_int(rng.randint(-2, 2)) for _ in range(2)])
             extra = [a * factor + b for a, b in zip(cols[0], cols[-1])]
             want = hermite_basis(PolyMatrix.from_cols(F, cols + [extra]))
-            guarded = [c[: j + 1] + [Untouchable(F)] * (m - 1 - j) for j, c in enumerate(cols)]
-            H = PolyMatrix.from_cols(F, _reduce_triangular(F, guarded))
+            guarded = [c[i] if i <= j else Untouchable(F) for i in range(m) for j, c in enumerate(cols)]
+            changed = _reduce_triangular(F, guarded, m)
+            H = PolyMatrix(F, m, m, guarded)
             assert H == want
+            assert changed == (H != PolyMatrix.from_cols(F, cols))
+            with monkeypatch.context() as mp:
+                mp.setattr(polymatrix, "_column_echelon", None)
+                assert hermite_basis(PolyMatrix.from_cols(F, cols)) == want
             rows = H.to_rowlists()
             for i in range(m):
                 assert H.entry(i, i).lc == F.one

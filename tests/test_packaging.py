@@ -1,7 +1,7 @@
 """The runtime is stdlib-only: every import in the package names latslice
 or a standard-library module, and the project declares no dependencies.
 Every module-level function in the package is used or exported, and every
-name a module imports is read in it."""
+name a module imports is read in it.  The Hermite reduction has one home."""
 
 import ast
 import collections
@@ -85,3 +85,14 @@ def test_no_unused_imports():
                     if name not in read:
                         unused.append(f"{path.name}:{name}")
     assert unused == []
+
+
+def test_one_hermite_reduction():
+    # lattice builders hand their bases to hermite_basis, which alone runs
+    # the triangular reduction
+    naming = [
+        path.name
+        for path in sorted((ROOT / "src" / "latslice").glob("*.py"))
+        if "_reduce_triangular" in path.read_text()
+    ]
+    assert naming == ["polymatrix.py"]
