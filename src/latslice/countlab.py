@@ -13,7 +13,7 @@ from .fields import GF, QQ
 from .lattice import (
     Lattice,
     LatticeChain,
-    _divide,
+    _image_at,
     _preimage,
     divisor_of_pair,
     factorize,
@@ -40,6 +40,13 @@ END_CONDITIONS = ("any", "trivial", "exact-zk")
 # The slice model is enumerated matrix by matrix: q^(m*m*k) of them.  The
 # largest space the suites and tests enumerate is 3^9.
 MAX_SLICE_MATRICES = 10**5
+
+# A fit interpolates with one product of n - 1 linear factors per point, in
+# Fractions that grow with n and log|q|: O(n^3), under two seconds at these
+# limits even with 4000-digit counts.  Held-out samples are only evaluated,
+# so they are not bounded.
+MAX_FIT_POINTS = 64
+MAX_FIT_Q = 10**6
 
 
 class FiberQuery:
@@ -118,15 +125,7 @@ def step_choices(L, x, j, containing=()):
     m = L.m
     if not 1 <= j <= m - 1:
         raise ValueError("need 1 <= j <= m-1")
-    return list(_steps(L, x, j, containing))
-
-
-def _steps(L, x, j, containing):
-    """The lattices of `step_choices`, one at a time, in the order in which
-    `linalg.subspaces` yields their subspaces, each built in closed form by
-    `lattice._preimage`."""
-    for S in linalg.subspaces(L.field, L.m, L.m - j, containing):
-        yield _preimage(L, x, S)
+    return [_preimage(L, x, S) for S in linalg.subspaces(F, m, m - j, containing)]
 
 
 def _chain_ends(m, k, field, points):
@@ -161,17 +160,6 @@ def _end_test(query):
     return Lattice(F, PolyMatrix.identity(F, query.m).scale_poly(zk)), lambda L: True
 
 
-def _image_at(L, inner, x):
-    """The image of the sublattice `inner` in L/(z-x)L, in coordinates of
-    L's basis: inner's basis columns divided by L's (`lattice._divide`), the
-    quotients evaluated at z = x.  ValueError if inner is not in L."""
-    rows = L.basis.to_rowlists()
-    quotients = [_divide(rows, v) for v in inner.basis.columns()]
-    if any(not p.is_zero for _, r in quotients for p in r):
-        raise ValueError("the target is not contained in the lattice")
-    return [[p.eval(x) for p in t] for t, _ in quotients]
-
-
 def count_chain_fiber(query, witnesses=False):
     """Lattice chains for the query, filtered by its end condition, counted
     level by level.  Each level maps every lattice reached to the number of
@@ -200,11 +188,12 @@ def count_chain_fiber(query, witnesses=False):
     if steps and not witnesses:
         (x, j), steps = steps[0], steps[1:]
         image = () if target is None else _image_at(std, target, x)
-        first = next(_steps(std, x, j, image), None)
-        frontier = {} if first is None else {first: gaussian_binomial(query.m, j, F.p)}
+        S = next(linalg.subspaces(F, query.m, query.m - j, image), None)
+        frontier = {} if S is None else {_preimage(std, x, S): gaussian_binomial(query.m, j, F.p)}
     for x, j in steps:
         reached = {}
         for L, paths in frontier.items():
+            # every frontier lattice contains target by construction: never None
             image = () if target is None else _image_at(L, target, x)
             for nxt in step_choices(L, x, j, image):
                 if witnesses:
@@ -356,7 +345,8 @@ def fit_q_polynomial(samples, degree=None):
     When degree is given, the first degree+1 samples interpolate and the rest
     are held-out checks; otherwise all samples interpolate.  Success requires
     nonnegative integer coefficients and matching held-out samples.  An
-    empty sample list is refused.
+    empty sample list is refused, and so are more than MAX_FIT_POINTS
+    interpolation points or one with |q| > MAX_FIT_Q.
     """
     samples = list(samples)
     if not samples:
@@ -367,7 +357,13 @@ def fit_q_polynomial(samples, degree=None):
         if len(samples) < degree + 1:
             raise ValueError("not enough samples for the requested degree")
         fit_pts, held = samples[: degree + 1], samples[degree + 1 :]
+    if len(fit_pts) > MAX_FIT_POINTS:
+        raise ValueError(
+            f"{len(fit_pts)} interpolation points, over the limit of {MAX_FIT_POINTS}"
+        )
     qs = [q for q, _ in fit_pts]
+    if any(abs(q) > MAX_FIT_Q for q in qs):
+        raise ValueError(f"an interpolation q beyond the limit |q| <= {MAX_FIT_Q}")
     if len(set(qs)) != len(qs):
         raise ValueError("sample q values must be distinct")
     fit = Poly.zero(QQ)

@@ -1,8 +1,11 @@
 """Exact base fields: the rationals and prime fields F_p.
 
 Rational elements are `fractions.Fraction`; prime-field elements are plain
-ints in range(p).  All arithmetic is routed through a Field instance so that
-polynomial and matrix code is field-agnostic.
+ints in range(p).  A Field holds the characteristic, the constants,
+parsing, formatting and element-wise operations.  The hot loops of `poly`
+and `linalg` do not call it per entry: they work on the elements with
+Python operators and reduce mod `p` themselves, calling the Field for
+inverses.
 """
 
 from fractions import Fraction

@@ -140,13 +140,11 @@ def _preimage(L, x, vecs):
     return Lattice(F, PolyMatrix.from_cols(F, cols))
 
 
-def transition_matrix(outer, inner):
-    """basis(outer)^-1 * basis(inner); polynomial iff inner is contained in
-    outer.  Returns None when some entry fails to be polynomial.
-
-    Solved by back-substitution against the Hermite basis of outer, which is
-    upper triangular with monic diagonal, so each step is an exact division
-    by a monic pivot and a remainder means the entry is not polynomial."""
+def _quotients(outer, inner):
+    """The columns of basis(outer)^-1 * basis(inner) as lists, or None when
+    an entry is not polynomial (inner is not in outer): back-substitution
+    against the Hermite basis of outer, upper triangular with monic
+    diagonal, so each step is an exact division by a monic pivot."""
     _check_pair(outer, inner)
     rows = outer.basis.to_rowlists()
     cols = []
@@ -155,7 +153,22 @@ def transition_matrix(outer, inner):
         if any(not p.is_zero for p in r):
             return None
         cols.append(t)
-    return PolyMatrix.from_cols(outer.field, cols)
+    return cols
+
+
+def transition_matrix(outer, inner):
+    """basis(outer)^-1 * basis(inner); polynomial iff inner is contained in
+    outer.  Returns None when some entry fails to be polynomial."""
+    cols = _quotients(outer, inner)
+    return None if cols is None else PolyMatrix.from_cols(outer.field, cols)
+
+
+def _image_at(L, inner, x):
+    """The image of the sublattice inner in L/(z-x)L, in coordinates of L's
+    basis: the columns of the transition from L to inner at z = x.  None
+    when inner is not contained in L.  `_preimage` is the reverse map."""
+    cols = _quotients(L, inner)
+    return None if cols is None else [[p.eval(x) for p in t] for t in cols]
 
 
 def _divide(H, v):
@@ -189,7 +202,7 @@ def _diagonal_degree(L):
 
 def contains(outer, inner):
     """True iff inner is a sublattice of outer."""
-    return transition_matrix(outer, inner) is not None
+    return _quotients(outer, inner) is not None
 
 
 def colength(outer, inner):
@@ -431,18 +444,19 @@ def validate_chain(chain):
     for d the invariant factors of T, so exactly j of them vanish at x;
     their degrees sum to at most deg det T = j, so each is z - x, the rest
     are units and the quotient is (k[z]/(z - x))^j.  Conversely that type
-    makes the invariant factors j copies of z - x and m - j units.  No
-    determinant or Smith form is computed, and T is built once a step."""
+    makes the invariant factors j copies of z - x and m - j units.  T(x),
+    the image of L_i in L_(i-1)/(z - x)L_(i-1), comes from `_image_at`, and
+    no determinant or Smith form is computed."""
     failures = []
     F, m = chain.field, chain.m
     prev = standard_lattice(m, F)
     for i, (x, j, L) in enumerate(zip(chain.points, chain.types, chain.lattices), 1):
-        T = transition_matrix(prev, L)
-        if T is None:
+        image = _image_at(prev, L, x)
+        if image is None:
             failures.append(f"step {i}: L_{i} is not contained in L_{i-1}")
         elif (c := _diagonal_degree(L) - _diagonal_degree(prev)) != j:
             failures.append(f"step {i}: colength {c} != type {j}")
-        elif linalg.rank(F, [[p.eval(x) for p in T.row(r)] for r in range(m)]) != m - j:
+        elif linalg.rank(F, image) != m - j:
             failures.append(
                 f"step {i}: modification is not omega_{j} concentrated at the marked point"
             )

@@ -2,8 +2,6 @@
 representations, invariant dimensions by path counting, duality, dominance
 order and Gaussian binomials."""
 
-from itertools import combinations
-
 
 class Partition:
     """Weakly decreasing nonnegative parts, at most m rows when bounded."""
@@ -66,16 +64,28 @@ class WeightSeq:
 def pieri_add(p, j, m):
     """All partitions with at most m rows obtained from p by adding a
     vertical strip of j boxes (no two in the same row): the decomposition of
-    V_p (x) V_(omega_j)."""
+    V_p (x) V_(omega_j).
+
+    The parts stay weakly decreasing iff the strip takes the top rows of
+    each run of equal parts.  So a strip is a number of rows per run, and
+    taking the runs top down, the larger number first, lists the strips in
+    the lexicographic order of their row sets."""
     if not 1 <= j <= m - 1:
         raise ValueError("need 1 <= j <= m-1")
+    parts = [p.part(i) for i in range(m)]
+    starts = [i for i in range(m) if i == 0 or parts[i] != parts[i - 1]] + [m]
     out = []
-    for rows in combinations(range(m), j):
-        parts = [p.part(i) for i in range(m)]
-        for r in rows:
-            parts[r] += 1
-        if all(parts[i] >= parts[i + 1] for i in range(m - 1)):
-            out.append(Partition(parts))
+
+    def extend(r, left, rows):
+        # strips of `left` more boxes in the runs from the r-th on
+        if not left:
+            out.append(Partition([c + 1 if i in rows else c for i, c in enumerate(parts)]))
+        elif m - starts[r] >= left:
+            a, b = starts[r], starts[r + 1]
+            for t in range(min(b - a, left), -1, -1):
+                extend(r + 1, left - t, rows | set(range(a, a + t)))
+
+    extend(0, j, set())
     return out
 
 

@@ -23,6 +23,7 @@ from latslice.lattice import (
 )
 from latslice.poly import Poly, linear_roots
 from latslice.polymatrix import PolyMatrix, det, smith_normal_form
+from latslice.reptheory import Partition
 from latslice.slicecorr import Flag, SliceMatrix, target_poly
 
 
@@ -580,3 +581,20 @@ def preimage_by_all_generators(L, x, vecs):
     shifted = L.basis.scale_poly(Poly(F, (F.neg(x), F.one))).columns()
     gens = [L.basis.mul_vec([Poly.const(F, c) for c in v]) for v in vecs]
     return Lattice(F, PolyMatrix.from_cols(F, gens + shifted))
+
+
+# ---------------------------------------------------------------------------
+# Pieri by row sets: every j-subset of the m rows gets a box, and the strips
+# that leave the parts weakly decreasing are kept, in the order of
+# itertools.combinations.  The package takes the top rows of each run of
+# equal parts instead.
+
+def pieri_by_row_sets(p, j, m):
+    out = []
+    for rows in itertools.combinations(range(m), j):
+        parts = [p.part(i) for i in range(m)]
+        for r in rows:
+            parts[r] += 1
+        if all(parts[i] >= parts[i + 1] for i in range(m - 1)):
+            out.append(Partition(parts))
+    return out

@@ -761,6 +761,13 @@ class TestRep:
         proc = run("rep", "dual", "--m", "3", "--j", "1")
         assert json.loads(proc.stdout) == {"dual": 2}
 
+    def test_wide_weights(self):
+        # C(30, 15) row sets for the second weight, but two runs of rows:
+        # the strips are found by run
+        with time_limit(10):
+            code, out, _ = call(["rep", "invariant-dim", "--m", "30", "--weights", "15,15"])
+        assert (code, json.loads(out)) == (0, {"dim": 1})
+
     def test_rank_zero_exit_1(self, capsys):
         assert cli.main(["rep", "invariant-dim", "--m", "0", "--weights", ""]) == 1
         assert "rank must be positive" in capsys.readouterr().err
@@ -876,6 +883,32 @@ class TestCount:
         proc = run("count", "fit", payload)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["coefficients"] == [1, 3, 2]
+
+    @pytest.mark.parametrize(
+        "samples,degree,message",
+        [
+            ([[q, q * q + 1] for q in range(2, 402)], None, "400 interpolation points"),
+            ([[q, q * q + 1] for q in range(2, 402)], 100, "101 interpolation points"),
+            ([[2, 5], [10**6 + 1, 10**12 + 2 * 10**6 + 2]], None, "|q| <= 1000000"),
+            ([[-(10**7), 10**14 + 1], [2, 5]], 1, "|q| <= 1000000"),
+        ],
+        ids=["samples", "degree", "q", "negative-q"],
+    )
+    def test_fit_budget_exit_1(self, samples, degree, message):
+        # interpolation is O(n^3) in Fractions: 400 samples of q^2 + 1 took
+        # 90 s before these limits, and are refused before any arithmetic
+        payload = {"samples": samples} if degree is None else {"samples": samples, "degree": degree}
+        with time_limit(10):
+            code, out, err = call(["count", "fit", json.dumps(payload)])
+        assert (code, out) == (1, "")
+        assert message in err and "Traceback" not in err
+
+    def test_fit_holds_out_any_number_of_samples(self):
+        # 3 interpolation points, 397 held-out samples only evaluated
+        payload = {"samples": [[q, q * q + 1] for q in range(2, 402)], "degree": 2}
+        with time_limit(10):
+            code, out, _ = call(["count", "fit", json.dumps(payload)])
+        assert code == 0 and json.loads(out)["coefficients"] == [1, 0, 1]
 
     def test_fit_without_samples_exit_1(self):
         proc = run("count", "fit", json.dumps({"samples": []}))

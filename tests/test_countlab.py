@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from latslice.fields import GF, QQ
-from latslice.lattice import Lattice, contains, standard_lattice, transition_matrix
+from latslice.lattice import Lattice, contains, standard_lattice
 from latslice.poly import Poly
 from latslice.polymatrix import PolyMatrix
 from latslice import countlab, lattice, polymatrix
@@ -76,7 +76,7 @@ class TestStepChoices:
             ]
             L = Lattice(F, PolyMatrix.from_cols(F, T.basis.columns() + extra))
             for x in F.elements():
-                image = countlab._image_at(L, T, x)
+                image = lattice._image_at(L, T, x)
                 for j in range(1, m):
                     want = {L2 for L2 in step_choices(L, x, j) if contains(L2, T)}
                     got = step_choices(L, x, j, image)
@@ -86,8 +86,9 @@ class TestStepChoices:
 
 class TestImageAt:
     def test_transition_columns_at_the_point(self):
-        # seeded L >= T = z^k k[z]^m, over F_3 and Q: the image is the
-        # transition matrix from L to T evaluated at z = x
+        # seeded L >= T = z^k k[z]^m, over F_3 and Q: the image is the Cramer
+        # transition from L to T evaluated at z = x, a second algorithm to
+        # the back-substitution that `_image_at` and `transition_matrix` share
         rng = random.Random(73)
         for F in (GF(3), QQ):
             for m, k in ((2, 2), (3, 1), (2, 3)):
@@ -98,17 +99,35 @@ class TestImageAt:
                         for _ in range(rng.randint(1, m))
                     ]
                     L = Lattice(F, PolyMatrix.from_cols(F, T.basis.columns() + extra))
+                    cramer = oracles.cramer_transition(L, T)
                     for x in (F.zero, F.one, F.from_int(2)):
-                        want = [[p.eval(x) for p in col] for col in transition_matrix(L, T).columns()]
-                        assert countlab._image_at(L, T, x) == want
+                        want = [[p.eval(x) for p in col] for col in cramer.columns()]
+                        assert lattice._image_at(L, T, x) == want
 
     def test_target_outside_the_lattice(self):
         for F in (GF(3), QQ):
             std = standard_lattice(2, F)
-            step = countlab._preimage(std, F.zero, [[F.one, F.zero]])
+            step = lattice._preimage(std, F.zero, [[F.one, F.zero]])
             for L, target in ((step, std), (_zk_lattice(2, 2, F), _zk_lattice(2, 1, F))):
-                with pytest.raises(ValueError, match="not contained"):
-                    countlab._image_at(L, target, F.zero)
+                assert lattice._image_at(L, target, F.zero) is None
+
+    @pytest.mark.parametrize("F", [GF(3), QQ], ids=repr)
+    def test_image_of_the_preimage(self, F):
+        # the two directions of the step correspondence: the image of
+        # _preimage(L, x, S) in L/(z-x)L spans S, on seeded lattices with
+        # powers of z and z - 1 on their diagonals
+        rng = random.Random(79)
+        sample = lambda: F.from_int(rng.randint(-2, 2))
+        for m in (2, 3, 4):
+            for L in TestPreimageAgainstAllGenerators.base_lattices(rng, F, m):
+                for x in (F.zero, F.one, F.from_int(2)):
+                    for j in range(1, m):
+                        S = []
+                        while linalg.rank(F, S) < m - j:
+                            S = [[sample() for _ in range(m)] for _ in range(m - j)]
+                        image = lattice._image_at(L, lattice._preimage(L, x, S), x)
+                        assert linalg.rank(F, image) == m - j, (L, x, S)
+                        assert linalg.rank(F, image + S) == m - j, (L, x, S)
 
 
 @contextlib.contextmanager
@@ -356,19 +375,21 @@ class TestChainCount:
             assert (count > 0) == (not any(query.points)), query
 
     def test_exact_zk_builds_only_kept_lattices(self, monkeypatch):
-        # m=3, (1,1,1), q=7: building every child and then testing it makes
-        # 6556 lattices; the pruned enumeration makes fewer than 600
+        # m=3, (1,1,1), q=7, counted at the constructor, which every step
+        # lattice reaches through lattice._preimage: building every child
+        # and then keeping those that contain z^k k[z]^m makes 516 lattices;
+        # the pruned walk makes at most 19
         built = []
-        real = countlab.Lattice
+        real = Lattice.__init__
 
-        def counted(*args):
+        def counted(self, *args):
             built.append(1)
-            return real(*args)
+            real(self, *args)
 
-        monkeypatch.setattr(countlab, "Lattice", counted)
+        monkeypatch.setattr(Lattice, "__init__", counted)
         query = FiberQuery(3, 1, (1, 1, 1), (0, 0, 0), GF(7), "exact-zk")
         assert count_chain_fiber(query).count == 456
-        assert 0 < len(built) <= 600
+        assert 0 < len(built) <= 50
 
     @pytest.mark.parametrize(
         "types,end,points,want",

@@ -1,7 +1,8 @@
 """The runtime is stdlib-only: every import in the package names latslice
 or a standard-library module, and the project declares no dependencies.
 Every module-level function in the package is used or exported, and every
-name a module imports is read in it.  The Hermite reduction has one home."""
+name a module imports is read in it.  The Hermite reduction and the
+back-substitution of one lattice by another each have one home."""
 
 import ast
 import collections
@@ -96,3 +97,14 @@ def test_one_hermite_reduction():
         if "_reduce_triangular" in path.read_text()
     ]
     assert naming == ["polymatrix.py"]
+
+
+def test_one_back_substitution():
+    # every lattice-pair question (transition, containment, the image of a
+    # sublattice in L/(z-x)L) divides through lattice._quotients
+    naming = [
+        path.name
+        for path in sorted((ROOT / "src" / "latslice").glob("*.py"))
+        if "_divide" in path.read_text()
+    ]
+    assert naming == ["lattice.py"]

@@ -1,6 +1,7 @@
 """Pieri products, tensor invariants, duality, dominance, Gaussian binomials."""
 
 import itertools
+import random
 
 import pytest
 
@@ -38,6 +39,18 @@ class TestPieri:
     def test_weight_bounds(self):
         with pytest.raises(ValueError):
             pieri_add(Partition((1, 1)), 2, 2)
+
+    def test_against_row_sets(self):
+        # seeded partitions with long runs of equal parts, zero rows among
+        # them, and a few with more than m rows: the same list in the same
+        # order as trying every row set
+        rng = random.Random(83)
+        for _ in range(600):
+            m = rng.randint(2, 8)
+            rows = rng.randint(0, m + 1)
+            p = Partition(sorted((rng.randint(0, 3) for _ in range(rows)), reverse=True))
+            j = rng.randint(1, m - 1)
+            assert pieri_add(p, j, m) == oracles.pieri_by_row_sets(p, j, m), (p, j, m)
 
 
 class TestWeightSeq:
