@@ -11,10 +11,9 @@ from operator import mul
 from . import linalg
 from .fields import GF, QQ
 from .lattice import (
-    Lattice,
     LatticeChain,
-    _image_at,
     _preimage,
+    _target_image,
     divisor_of_pair,
     factorize,
     intersect,
@@ -23,7 +22,6 @@ from .lattice import (
     standard_lattice,
 )
 from .poly import Poly
-from .polymatrix import PolyMatrix
 from .reptheory import WeightSeq, gaussian_binomial, invariant_dim
 from .slicecorr import (
     Flag,
@@ -143,21 +141,21 @@ def _chain_ends(m, k, field, points):
 
 
 def _end_test(query):
-    """The query's end condition as (target, end_ok): `end_ok` is the
-    predicate the last lattice must satisfy, and `target` is z^k k[z]^m for
-    exact-z^k, built once, else None.
+    """The query's end condition as (image, end_ok): `end_ok` is the
+    predicate the last lattice must satisfy, and `image(L, x)` spans the
+    subspace of L/(z-x)L that every step from L must contain, the image of
+    z^k k[z]^m for exact-z^k (`lattice._target_image`), else nothing.
 
     Every lattice of a chain contains its end, so an exact-z^k chain only
-    steps to lattices that contain target, and its last lattice needs no
-    test: it contains target and has colength sum pi_i = mk in k[z]^m, the
-    colength of target, so it is target."""
-    F, k = query.field, query.k
-    if query.end_condition == "any":
-        return None, lambda L: True
+    steps to lattices that contain z^k k[z]^m, and its last lattice needs
+    no test: it contains z^k k[z]^m and has colength sum pi_i = mk in
+    k[z]^m, the colength of z^k k[z]^m, so it is z^k k[z]^m."""
+    k = query.k
+    if query.end_condition == "exact-zk":
+        return (lambda L, x: _target_image(L, k, x)), lambda L: True
     if query.end_condition == "trivial":
-        return None, lambda L: quotient_basis_trivial(L, k)
-    zk = Poly.monomial(F, F.one, k)
-    return Lattice(F, PolyMatrix.identity(F, query.m).scale_poly(zk)), lambda L: True
+        return (lambda L, x: ()), lambda L: quotient_basis_trivial(L, k)
+    return (lambda L, x: ()), lambda L: True
 
 
 def count_chain_fiber(query, witnesses=False):
@@ -181,21 +179,18 @@ def count_chain_fiber(query, witnesses=False):
     if not F.is_finite:
         raise ValueError("chain counting needs a finite field")
     t0 = time.perf_counter()
-    target, end_ok = _end_test(query)
+    image, end_ok = _end_test(query)
     std = standard_lattice(query.m, F)
     steps = list(zip(query.points, query.types.entries))
     frontier = {std: [()] if witnesses else 1}
     if steps and not witnesses:
         (x, j), steps = steps[0], steps[1:]
-        image = () if target is None else _image_at(std, target, x)
-        S = next(linalg.subspaces(F, query.m, query.m - j, image), None)
+        S = next(linalg.subspaces(F, query.m, query.m - j, image(std, x)), None)
         frontier = {} if S is None else {_preimage(std, x, S): gaussian_binomial(query.m, j, F.p)}
     for x, j in steps:
         reached = {}
         for L, paths in frontier.items():
-            # every frontier lattice contains target by construction: never None
-            image = () if target is None else _image_at(L, target, x)
-            for nxt in step_choices(L, x, j, image):
+            for nxt in step_choices(L, x, j, image(L, x)):
                 if witnesses:
                     reached.setdefault(nxt, []).extend(p + (nxt,) for p in paths)
                 else:

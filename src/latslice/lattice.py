@@ -171,6 +171,49 @@ def _image_at(L, inner, x):
     return None if cols is None else [[p.eval(x) for p in t] for t in cols]
 
 
+def _target_image(L, k, x):
+    """Vectors spanning the image of z^k k[z]^m in L/(z-x)L, in coordinates
+    of L's basis, for L containing z^k k[z]^m: `_image_at(L, z^k k[z]^m, x)`
+    read by field linear algebra, with no polynomial division.
+
+    Such an L is a z-stable subspace U = L / z^k k[z]^m of V = k[z]^m /
+    z^k k[z]^m, coordinate t*m + i holding z^t e_i.  Let Z be multiplication
+    by z on V and b_r column r of L's Hermite basis mod z^k, with diagonal
+    z^(d_r), d_r <= k.  At x = 0, c is in the image iff sum c_r b_r lies in z^k k[z]^m
+    + zL, that is iff it lies in ZU.  ZU is spanned by the Z^t b_r with
+    t >= 1, not by the Z b_r alone: it is the whole k[z]-span of zL.  The
+    z^t b_r with t < k - d_r are a basis of U (in row r each is the one
+    monomial z^(t + d_r), and rows below r are zero), so the Z^t b_r with
+    1 <= t <= k - d_r, and t < k as Z^k = 0, already span ZU.  So the image
+    is the b-part of the kernel of [Z^t b | b], one rref of a field matrix
+    with mk rows.  At x != 0, z^k is a unit mod z - x and z^k L lies in
+    z^k k[z]^m, so the image is all of L/(z-x)L."""
+    F, m = L.field, L.m
+    if x:
+        return [[F.one if r == c else F.zero for r in range(m)] for c in range(m)]
+    N, pad = m * k, (F.zero,) * k
+    b, zb = [], []
+    for r, col in enumerate(L.basis.columns()):
+        coeffs = [(p.coeffs + pad)[:k] for p in col]
+        v = [c[t] for t in range(k) for c in coeffs]
+        b.append(v)
+        zb.extend([F.zero] * (t * m) + v[: N - t * m] for t in range(1, k - max(col[r].degree, 1) + 1))
+    n = len(zb)
+    a, pivots = linalg.rref(F, list(zip(*zb, *b)))
+    # the kernel vectors free at a column of b; those free at a column of zb
+    # have no b-part, so unlike linalg.kernel_basis this builds none of them
+    image = []
+    for f in range(n, n + m):
+        if f not in pivots:
+            v = [F.zero] * m
+            v[f - n] = F.one
+            for row, c in zip(a, pivots):
+                if c >= n:
+                    v[c - n] = F.neg(row[f])
+            image.append(v)
+    return image
+
+
 def _divide(H, v):
     """(t, r) with v = H*t + r and deg r_i < deg h_ii, for H (given as its
     list of rows) upper triangular with monic diagonal: row i, bottom up,

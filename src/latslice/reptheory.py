@@ -98,7 +98,9 @@ def root_lattice_check(w):
 def invariant_dim(w):
     """dim of the SL_m invariants of the tensor product of the V_(omega_pi):
     the number of Pieri paths from the empty partition to the rectangle with
-    m rows of length total/m, with multiplicities tracked level by level."""
+    m rows of length k = total/m, with multiplicities tracked level by
+    level.  Parts only grow along a path, so a partition whose first part
+    exceeds k never reaches the rectangle and is dropped."""
     if not root_lattice_check(w):
         raise ValueError("weight sum is not in the root lattice")
     m = w.m
@@ -108,7 +110,8 @@ def invariant_dim(w):
         nxt = {}
         for p, mult in level.items():
             for q in pieri_add(p, j, m):
-                nxt[q] = nxt.get(q, 0) + mult
+                if q.part(0) <= k:
+                    nxt[q] = nxt.get(q, 0) + mult
         level = nxt
     return level.get(Partition((k,) * m), 0)
 

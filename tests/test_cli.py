@@ -768,6 +768,13 @@ class TestRep:
             code, out, _ = call(["rep", "invariant-dim", "--m", "30", "--weights", "15,15"])
         assert (code, json.loads(out)) == (0, {"dim": 1})
 
+    def test_many_small_weights(self):
+        # forty weights of 1 at m=10: the Pieri levels keep only partitions
+        # that fit in the 10 x 4 rectangle
+        with time_limit(10):
+            code, out, _ = call(["rep", "invariant-dim", "--m", "10", "--weights", ",".join(["1"] * 40)])
+        assert (code, json.loads(out)) == (0, {"dim": 22661585038594320})
+
     def test_rank_zero_exit_1(self, capsys):
         assert cli.main(["rep", "invariant-dim", "--m", "0", "--weights", ""]) == 1
         assert "rank must be positive" in capsys.readouterr().err

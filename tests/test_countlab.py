@@ -130,6 +130,74 @@ class TestImageAt:
                         assert linalg.rank(F, image + S) == m - j, (L, x, S)
 
 
+class TestTargetImage:
+    """`lattice._target_image` reads the image of z^k k[z]^m in L/(z-x)L by
+    a field kernel in k[z]^m / z^k k[z]^m; `_image_at` back-substitutes
+    z^k e_j through L's Hermite basis.  The two must span one subspace."""
+
+    @staticmethod
+    def assert_same_span(L, k, x):
+        F = L.field
+        want = linalg.canonical_subspace(F, lattice._image_at(L, _zk_lattice(L.m, k, F), x))
+        got = lattice._target_image(L, k, x)
+        assert linalg.canonical_subspace(F, got) == want, (L, k, x)
+
+    @pytest.mark.parametrize("F", [GF(2), GF(3), GF(5), QQ], ids=repr)
+    def test_seeded_lattices(self, F):
+        # seeded L >= z^k k[z]^m, built as in test_containing_target_image
+        rng = random.Random(29)
+        for m, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (2, 4), (4, 2)):
+            T = _zk_lattice(m, k, F)
+            for _ in range(6):
+                extra = [
+                    [Poly(F, [F.from_int(rng.randrange(5)) for _ in range(k)]) for _ in range(m)]
+                    for _ in range(rng.randint(1, m))
+                ]
+                L = Lattice(F, PolyMatrix.from_cols(F, T.basis.columns() + extra))
+                for x in (F.zero, F.one, F.from_int(2)):
+                    self.assert_same_span(L, k, x)
+
+    def test_image_needs_all_of_zl(self):
+        # over F_2, k = 3: b_1 = z^2 e_1 is Z^2 b_2 mod z^3 k[z]^2, so e_1 is
+        # in the image, but b_1 is not in the span of the Z b_r alone
+        F = GF(2)
+        rows = [[Poly(F, (0, 0, 1)), Poly(F, (1, 1))], [Poly.zero(F), Poly(F, (0, 1))]]
+        L = Lattice(F, PolyMatrix.from_rows(F, rows))
+        assert L.basis == PolyMatrix.from_rows(F, rows)
+        assert linalg.canonical_subspace(F, lattice._target_image(L, 3, 0)) == [[1, 0]]
+        self.assert_same_span(L, 3, 0)
+
+    @pytest.mark.parametrize(
+        "m,types,q", [(2, (1,) * 6, 2), (2, (1,) * 4, 3), (3, (1, 2, 1, 2), 2), (4, (2, 2), 2)]
+    )
+    def test_witness_walk_lattices(self, m, types, q):
+        # every lattice of every exact-z^k chain, at the chain's point and
+        # at another
+        F = GF(q)
+        k = sum(types) // m
+        query = FiberQuery(m, k, types, (F.zero,) * len(types), F, "exact-zk")
+        seen = {standard_lattice(m, F)}
+        for chain in count_chain_fiber(query, witnesses=True).witnesses:
+            seen.update(chain.lattices)
+        assert len(seen) > 10
+        for L in seen:
+            for x in (F.zero, F.one):
+                self.assert_same_span(L, k, x)
+
+
+@contextlib.contextmanager
+def no_back_substitution():
+    """Within it `lattice._divide`, the back-substitution behind
+    `_quotients`, `_image_at` and `transition_matrix`, raises."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("polynomial back-substitution called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_divide", refused)
+        yield
+
+
 @contextlib.contextmanager
 def no_column_echelon():
     """Within it the Euclidean column echelon raises, both where
@@ -217,7 +285,9 @@ class TestStepsRunNoColumnEchelon:
     `hermite_basis` only reduces it above its diagonal and the chain walk,
     `slice_to_chain` and `factorize` never run the Euclidean column echelon.
     A basis left off that shape would still come out right, through the
-    echelon path of `hermite_basis`; only this guard sees it."""
+    echelon path of `hermite_basis`; only this guard sees it.  The chain
+    walk runs no polynomial back-substitution either: an exact-z^k step
+    reads the image of z^k k[z]^m by `lattice._target_image`."""
 
     @pytest.mark.parametrize(
         "m,k,types,points,q,end,want",
@@ -232,7 +302,7 @@ class TestStepsRunNoColumnEchelon:
     def test_count_chain_fiber(self, m, k, types, points, q, end, want, witnesses):
         F = GF(q)
         query = FiberQuery(m, k, types, tuple(F.from_int(x) for x in points), F, end)
-        with no_column_echelon():
+        with no_column_echelon(), no_back_substitution():
             assert count_chain_fiber(query, witnesses=witnesses).count == want
 
     def test_step_choices(self):
@@ -378,7 +448,8 @@ class TestChainCount:
         # m=3, (1,1,1), q=7, counted at the constructor, which every step
         # lattice reaches through lattice._preimage: building every child
         # and then keeping those that contain z^k k[z]^m makes 516 lattices;
-        # the pruned walk makes at most 19
+        # the pruned walk makes 17 step lattices, and k[z]^m once per
+        # process; z^k k[z]^m is not built
         built = []
         real = Lattice.__init__
 

@@ -108,3 +108,19 @@ def test_one_back_substitution():
         if "_divide" in path.read_text()
     ]
     assert naming == ["lattice.py"]
+
+
+def test_image_at_checks_chains_only():
+    # the chain walk reads the image of z^k k[z]^m by lattice._target_image,
+    # so validate_chain is the one function in src/ that calls _image_at
+    callers = [
+        f"{path.name}:{node.name}"
+        for path in sorted((ROOT / "src" / "latslice").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(sub, ast.Call) and "_image_at" in set(_names(sub.func))
+            for sub in ast.walk(node)
+        )
+    ]
+    assert callers == ["lattice.py:validate_chain"]

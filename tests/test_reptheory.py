@@ -1,6 +1,7 @@
 """Pieri products, tensor invariants, duality, dominance, Gaussian binomials."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -90,6 +91,25 @@ class TestInvariantDim:
                     if sum(w) % m != 0:
                         continue
                     assert invariant_dim(WeightSeq(m, w)) == oracles.alternant_invariant_dim(m, w)
+
+    @pytest.mark.parametrize(
+        "m,w",
+        [
+            (2, (1,) * 8),
+            (3, (1, 2) * 4),
+            (3, (1,) * 6),
+            (4, (1,) * 8),
+            (4, (2,) * 6),
+        ],
+    )
+    def test_against_alternant_oracle_past_the_rectangle(self, m, w):
+        # long runs of one weight grow first parts past k = total/m, where
+        # the Pieri levels drop their partitions
+        assert invariant_dim(WeightSeq(m, w)) == oracles.alternant_invariant_dim(m, w)
+
+    def test_catalan_at_twenty(self):
+        # SL_2 with n = 20 weights of 1: the Catalan number C_10
+        assert invariant_dim(WeightSeq(2, (1,) * 20)) == math.comb(20, 10) // 11
 
     def test_permutation_invariance(self):
         for w in ((1, 1, 2, 2), (1, 2, 1, 2), (2, 1, 2, 1)):
